@@ -1,8 +1,8 @@
-"""Benchmark for confdim: three workloads, end-to-end and per-layer metrics.
+"""Benchmark for confdim: four workloads, end-to-end and per-layer metrics.
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload qgamma-catalog --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload qgamma-catalog --seed 1 --seconds 15 --trace 0
 
 With ``--trace 0`` the last line of stdout is a JSON object with the
 end-to-end metrics; with ``--trace 1`` it holds the per-layer metrics of a
@@ -14,7 +14,8 @@ Other modes:
     --compare N     N runs per set of two alternating sets of the same code;
                     prints each metric's median and quartiles per set
     --self-test     shows that every output check rejects a wrong answer
-    --list-faults   lists the kept faults anew from --seed
+    --list-faults   runs every operation of the workloads with kept faults and
+                    lists what stalls; exits 1 unless that is the kept faults
 
 Only the standard library is imported here; the work runs in child
 interpreters with confdim taken from ``src/`` of this checkout.
@@ -38,7 +39,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT_DIR = os.path.join(HERE, "out")
-WORKLOADS = ("qgamma-catalog", "explicit-modulus", "cli-session")
+WORKLOADS = ("qgamma-catalog", "annulus-modulus", "explicit-modulus", "cli-session")
 
 #: BLAS threads for every child.  The dual solver's path depends on it (the
 #: set of annulus grids on which it stalls differs between 1 and 2 threads),
@@ -77,7 +78,7 @@ def start_worker(args, extra=()):
     """Start worker.py; return the process and the seconds until it printed READY."""
     argv = [sys.executable, os.path.join(HERE, "worker.py"), "--workload", args.workload,
             "--seed", str(args.seed), "--seconds", str(args.seconds),
-            "--trace", str(args.trace), "--root", ROOT, *extra]
+            "--trace", str(args.trace), *extra]
     t0 = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
@@ -240,7 +241,7 @@ def bench(args):
         print(f"latency tail: p{record['tail_percentile']:.2f} of {record['samples']} samples "
               f"over {record['rounds']} rounds; set-up samples {[round(s, 4) for s in setup]}")
     print(f"attempted {record['attempted']}, failed {record['failed']}, "
-          f"skipped draws {record['skipped_draws']}, BLAS threads {BLAS_THREADS}")
+          f"BLAS threads {BLAS_THREADS}")
 
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"BENCH_{args.workload}_seed{args.seed}_trace{args.trace}.json")
@@ -264,10 +265,9 @@ def compare(args):
     Run i of set s uses seed ``--seed + s * N + i``, so no two runs share a
     seed; the order of the sets alternates from one pair of runs to the next.
     """
-    sets = [[] for _ in range(args.sets)]
+    sets = ([], [])
     for i in range(args.compare):
-        order = range(args.sets) if i % 2 == 0 else reversed(range(args.sets))
-        for s in order:
+        for s in ((0, 1) if i % 2 == 0 else (1, 0)):
             seed = args.seed + s * args.compare + i
             argv = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
                     "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
@@ -280,9 +280,7 @@ def compare(args):
             values = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
             print(f"set {'AB'[s]} seed {seed}: correct={result['correct']} "
                   f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
-    groups = [(f"set {'AB'[s]}", runs) for s, runs in enumerate(sets)]
-    if args.sets == 2:
-        groups.append(("both", sets[0] + sets[1]))
+    groups = [("set A", sets[0]), ("set B", sets[1]), ("both", sets[0] + sets[1])]
     print(f"{args.workload}: median [q1, q3] spread=(q3-q1)/median; "
           + ", ".join(f"{name} ({len(runs)} runs)" for name, runs in groups))
     for metric in END_TO_END:
@@ -291,12 +289,11 @@ def compare(args):
             values = [r["metrics"][metric]["value"] for r in runs]
             q1, med, q3 = statistics.quantiles(values, n=4)
             cells.append(f"{med:.5g} [{q1:.5g}, {q3:.5g}] spread={(q3 - q1) / med:.3f}")
-        if args.sets == 2:
-            medians = [statistics.median(r["metrics"][metric]["value"] for r in runs)
-                       for runs in sets]
-            cells.append(f"B/A-1={medians[1] / medians[0] - 1:+.3f}")
+        medians = [statistics.median(r["metrics"][metric]["value"] for r in runs)
+                   for runs in sets]
+        cells.append(f"B/A-1={medians[1] / medians[0] - 1:+.3f}")
         print(f"  {metric:15s} " + " | ".join(cells))
-    for name, runs in groups[:args.sets]:
+    for name, runs in groups[:2]:
         shares = sorted({str(fractions.Fraction(r["failed"], r["attempted"])) for r in runs})
         print(f"  {name} failed/attempted: {shares}")
 
@@ -306,11 +303,10 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--compare", type=int, metavar="N",
                         help="make N runs per set, seeds --seed .. --seed+N-1")
-    parser.add_argument("--sets", type=int, choices=(1, 2), default=2)
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--self-test", action="store_true")
     mode.add_argument("--list-faults", action="store_true")

@@ -28,19 +28,6 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 from worker import Verifier  # noqa: E402
 
-#: annulus grids (circumference, height) and exponents tried by --list-faults
-GRIDS = ((256, 4), (8, 8), (12, 12), (16, 16), (6, 24), (24, 6))
-ANNULUS_QS = (1.5, 2.0, 3.0)
-#: where ``annulus_modulus`` raises "dual solver stalled" with two BLAS threads
-ANNULUS_STALLS = ((12, 12, 1.5), (16, 16, 3.0), (24, 6, 3.0))
-
-
-def run_annulus(cols, rows, q):
-    from confdim.covers import annulus_modulus, grid_annulus
-
-    return annulus_modulus(grid_annulus(cols, rows), q)
-
-
 class SelfTest:
     def __init__(self):
         self.cases = 0
@@ -91,7 +78,7 @@ def test_qgamma(t):
 
 
 def test_annulus(t):
-    r = run_annulus(8, 8, 2.0)
+    r = workloads.run_annulus(8, 8, 2.0)
     t.accepts("annulus 8x8", lambda: checks.check_annulus(8, 8, 2.0, r.value, r.certificate.ok))
     t.rejects("annulus value x (1+1e-4)",
               lambda: checks.check_annulus(8, 8, 2.0, r.value * (1 + 1e-4), True))
@@ -154,7 +141,7 @@ def change_byte(stdout, pattern):
 def test_cli(t):
     from confdim import cli
 
-    session = workloads.CliSession(0, os.path.dirname(HERE))
+    session = workloads.CliSession(0)
     here = os.getcwd()
     try:
         os.chdir(session.dir)
@@ -193,36 +180,38 @@ def self_test():
     return 1 if t.failures else 0
 
 
+def describe(op):
+    if op.key[0] == "annulus":
+        return "{}x{} Q={}".format(*op.payload)
+    curves, pieces, q = op.payload
+    return f"{pieces} pieces, {len(curves)} curves, Q={q}"
+
+
 def list_faults(seed):
-    """Run every fault candidate and print what fails.
+    """Run every operation of the workloads that keep faults; print what stalls.
 
-    The annulus grids of the issue are not a workload (their timings spread
-    too widely on this machine; see CHANGES.md) but their stalls are listed
-    here for whoever mends them.
+    Returns 1 when the operations that stall are not the ones the workloads
+    keep as faults.
     """
-    from confdim.spectral import ConvergenceError
-
-    print("annulus_modulus on every grid and exponent (known stalls: "
-          f"{', '.join(f'{c}x{h} Q={q}' for c, h, q in ANNULUS_STALLS)})")
-    for c, h in GRIDS:
-        for q in ANNULUS_QS:
-            t0 = time.perf_counter()
-            try:
-                run_annulus(c, h, q)
-                status = "ok"
-            except ConvergenceError as exc:
-                status = f"ConvergenceError: {exc}"
-            print(f"  {c}x{h} Q={q}: {time.perf_counter() - t0:.2f} s {status}")
-    explicit = workloads.ExplicitModulus(seed, os.path.dirname(HERE))
-    draws = len(explicit.ops) - 1 + len(explicit.stalled)
-    print(f"explicit-modulus: {len(explicit.stalled)} of {draws} draws stall "
-          "and are left out (pieces, curves, Q):")
-    for pieces, count, q in explicit.stalled:
-        print(f"  {pieces} pieces, {count} curves, Q={q}")
-    error = workloads.run_fault(workloads.STALL_FAMILY, workloads.STALL_PIECES, workloads.STALL_Q)
-    print(f"  kept fault, the {workloads.STALL_PIECES}-piece family at Q={workloads.STALL_Q}: "
-          f"{error or 'solved'}")
-    return 0
+    differ = False
+    for cls in (workloads.AnnulusModulus, workloads.ExplicitModulus):
+        workload = cls(seed)
+        ops = sorted(workload.ops, key=lambda op: op.key)
+        stalled = []
+        for op in ops:
+            reply = workloads.run_fault(workload, op)
+            if reply["wrong"] is not None:
+                print(f"{workload.name} {op.key}: {reply['wrong']}")
+                differ = True
+            if reply["error"] is not None:
+                stalled.append(f"  {op.key}: {describe(op)}: {reply['error']}")
+            differ |= (reply["error"] is not None) != op.fault
+        print(f"{workload.name}: {len(stalled)} of {len(ops)} operations stall, "
+              f"{sum(op.fault for op in ops)} kept as faults")
+        print("\n".join(stalled))
+    if differ:
+        print("the operations that stall differ from the kept faults")
+    return 1 if differ else 0
 
 
 def main():

@@ -10,6 +10,13 @@ object ``multicurve.leading_eigenvalue`` calls, not ``spectral.spectral_radius``
 ``layer_metrics`` turns spans and counts into the per-layer metrics of
 ``BENCHMARK.json``.  A span's self time is its duration minus the durations
 of its direct children; calls are sequential, so children never overlap.
+
+The tracer times itself: its bookkeeping in each wrapper, outside the
+wrapped call, and its installing and removing of wrappers add up to
+``trace.overhead_s``.  The difference between a traced and an untraced
+round cannot stand in for it: on the 2-CPU machine of the README's
+figures the same ``annulus_modulus`` solve ran 2.4 s to 3.4 s back to
+back, while the tracer spends milliseconds a round.
 """
 
 from __future__ import annotations
@@ -31,17 +38,21 @@ class Tracer:
     def wrap(self, name, fn, on_result=None):
         @functools.wraps(fn)
         def traced(*args, **kwargs):
+            entered = time.perf_counter()
             index = len(self.spans)
             parent = self._stack[-1] if self._stack else -1
-            self.spans.append([name, time.perf_counter(), None, parent])
+            span = [name, None, None, parent]
+            self.spans.append(span)
             self._stack.append(index)
+            start = span[1] = time.perf_counter()
             try:
                 result = fn(*args, **kwargs)
             finally:
+                end = span[2] = time.perf_counter()
                 self._stack.pop()
-                self.spans[index][2] = time.perf_counter()
             if on_result is not None:
                 on_result(result, args, kwargs)
+            self.counts["overhead_s"] += (start - entered) + (time.perf_counter() - end)
             return result
 
         return traced
@@ -58,6 +69,8 @@ class Tracer:
     def install(self):
         """Wrap the public functions of every confdim layer."""
         import importlib
+
+        entered = time.perf_counter()
 
         # ``confdim.modulus`` the attribute is the function re-exported by the
         # package, so modules are looked up by their full name.
@@ -89,11 +102,14 @@ class Tracer:
             self._patch(cli, attr, "schemas.parse")
         for attr in ("render_json", "render_csv"):
             self._patch(cli, attr, "schemas.render")
+        self.counts["overhead_s"] += time.perf_counter() - entered
 
     def uninstall(self):
+        entered = time.perf_counter()
         while self._patched:
             module, attr, original = self._patched.pop()
             setattr(module, attr, original)
+        self.counts["overhead_s"] += time.perf_counter() - entered
 
     # -- result hooks --------------------------------------------------------
     def _on_q(self, result, args, kwargs):
@@ -206,4 +222,5 @@ def layer_metrics(trace, rounds):
         ),
         "schemas.parse.time_s": per_round(time_, "schemas.parse"),
         "schemas.render.time_s": per_round(time_, "schemas.render"),
+        "trace.overhead_s": per_round(counts, "overhead_s"),
     }

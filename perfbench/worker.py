@@ -62,19 +62,21 @@ def timing_metrics(latencies, ops_per_round, min_rounds):
 class FaultRunner:
     """Child process that runs the kept-fault operations, one per request."""
 
-    def __init__(self, workload):
+    def __init__(self, workload, seed):
         self.proc = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--fault-server", "--workload", workload],
+            [sys.executable, os.path.abspath(__file__), "--fault-server", "--workload", workload,
+             "--seed", str(seed)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
 
-    def run(self, payload):
-        self.proc.stdin.write(json.dumps(payload) + "\n")
+    def run(self, index):
+        """Run operation ``index`` of the round in the fault process."""
+        self.proc.stdin.write(f"{index}\n")
         self.proc.stdin.flush()
         reply = self.proc.stdout.readline()
         if not reply:
             raise RuntimeError("fault process ended early")
-        return json.loads(reply)["error"]
+        return json.loads(reply)
 
     def close(self):
         self.proc.stdin.close()
@@ -99,12 +101,12 @@ class Verifier:
         self.workload.check(op, out)
 
 
-def fault_server():
+def fault_server(workload):
     for line in sys.stdin:
-        print(json.dumps({"error": run_fault(*json.loads(line))}), flush=True)
+        print(json.dumps(run_fault(workload, workload.ops[int(line)])), flush=True)
 
 
-def measure(workload, seconds, trace):
+def measure(workload, seed, seconds, trace):
     """Run whole rounds for ``seconds`` (at least ``min_rounds``); return the record.
 
     ``ops_per_s`` is the successful operations over their summed latency,
@@ -112,60 +114,61 @@ def measure(workload, seconds, trace):
     latencies.  Best-of-repeats and per-operation medians were tried as
     well; over six runs each they spread two to three times wider on
     ``qgamma-catalog`` and no narrower elsewhere.
+
+    A traced run traces every round and reports per-layer metrics only.
+
+    Only kept faults count in ``failed``.  Any other operation that raises
+    or returns a wrong answer makes the run incorrect.
     """
-    faults = FaultRunner(workload.name) if any(op.fault for op in workload.ops) else None
+    faults = FaultRunner(workload.name, seed) if any(op.fault for op in workload.ops) else None
     tracer = tracing.Tracer() if trace else None
     verifier = Verifier(workload)
     errors = []
-    wrong = 0
-    latencies, round_work = {}, {False: [], True: []}
-    attempted = failed = 0
+    latencies = {}
+    work = []
+    attempted = failed = wrong = rounds = 0
     first_pass_bytes = 0
     start = time.perf_counter()
-    rounds = 0
-    min_rounds = 2 if trace else workload.min_rounds
+    min_rounds = 1 if trace else workload.min_rounds
+    workload.tracing = trace
+    if trace and not workload.measures_children:
+        tracer.install()  # a workload run in child processes traces there
     try:
-        # a traced run ends on a traced round, so both kinds come in pairs
-        while (rounds < min_rounds or time.perf_counter() - start < seconds
-               or (trace and rounds % 2)):
-            traced = trace and rounds % 2 == 1
-            workload.tracing = traced
-            if traced:
-                tracer.install()
-            work = 0.0
-            try:
-                for op in workload.ops:
-                    attempted += 1
-                    if op.fault:
-                        error = faults.run(op.payload)
-                        failed += error is not None
-                        continue
-                    t0 = time.perf_counter()
-                    try:
-                        out = workload.run(op)
-                    except Exception as exc:  # an unexpected failure is counted, not fatal
-                        failed += 1
-                        errors.append(f"{op.key}: {type(exc).__name__}: {exc}")
-                        continue
-                    dt = time.perf_counter() - t0
-                    work += dt
-                    if not traced:
-                        latencies.setdefault(op.key, []).append(dt)
-                    if rounds == 0 and workload.measures_children:
-                        first_pass_bytes += len(out[1])
-                    try:
-                        verifier.verify(op, out)
-                    except checks.CheckFailed as exc:
+        while rounds < min_rounds or time.perf_counter() - start < seconds:
+            round_work = 0.0
+            for index, op in enumerate(workload.ops):
+                attempted += 1
+                if op.fault:
+                    reply = faults.run(index)
+                    failed += reply["error"] is not None
+                    if reply["wrong"] is not None:
                         wrong += 1
-                        errors.append(f"{op.key}: wrong output: {exc}")
-            finally:
-                if traced:
-                    tracer.uninstall()
-            round_work[traced].append(work)
+                        errors.append(f"{op.key}: kept fault: {reply['wrong']}")
+                    continue
+                t0 = time.perf_counter()
+                try:
+                    out = workload.run(op)
+                except Exception as exc:
+                    wrong += 1
+                    errors.append(f"{op.key}: {type(exc).__name__}: {exc}")
+                    continue
+                dt = time.perf_counter() - t0
+                round_work += dt
+                latencies.setdefault(op.key, []).append(dt)
+                if rounds == 0 and workload.measures_children:
+                    first_pass_bytes += len(out[1])
+                try:
+                    verifier.verify(op, out)
+                except checks.CheckFailed as exc:
+                    wrong += 1
+                    errors.append(f"{op.key}: wrong output: {exc}")
+            work.append(round_work)
             rounds += 1
         who = resource.RUSAGE_CHILDREN if workload.measures_children else resource.RUSAGE_SELF
         peak_rss_mb = resource.getrusage(who).ru_maxrss / 1024.0
     finally:
+        if tracer is not None:
+            tracer.uninstall()
         workload.tracing = False
         if faults is not None:
             faults.close()
@@ -177,16 +180,13 @@ def measure(workload, seconds, trace):
         "correct": wrong == 0,
         "errors": errors,
         "ops_per_round": sum(not op.fault for op in workload.ops),
-        "round_work_s": {"untraced": round_work[False], "traced": round_work[True]},
+        "round_work_s": work,
         "latencies_s": {str(key): times for key, times in latencies.items()},
     }
     if trace:
         merged = tracing.merge([tracer.export()] + getattr(workload, "exports", []))
-        layers = tracing.layer_metrics(merged, len(round_work[True]))
+        layers = tracing.layer_metrics(merged, rounds)
         layers["schemas.output_bytes"] = first_pass_bytes
-        layers["trace.overhead_s"] = (
-            statistics.median(round_work[True]) - statistics.median(round_work[False])
-        )
         record["layers"] = layers
         return record
 
@@ -203,23 +203,21 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--root", default=os.path.dirname(HERE))
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--setup-only", action="store_true")
     mode.add_argument("--fault-server", action="store_true")
     args = parser.parse_args()
 
-    if args.fault_server:
-        fault_server()
-        return 0
-    workload = WORKLOADS[args.workload](args.seed, args.root)
+    workload = WORKLOADS[args.workload](args.seed)
     try:
+        if args.fault_server:
+            fault_server(workload)
+            return 0
         workload.warm_up()
         print("READY", flush=True)
         if args.setup_only:
             return 0
-        record = measure(workload, args.seconds, bool(args.trace))
-        record["skipped_draws"] = len(getattr(workload, "stalled", ()))
+        record = measure(workload, args.seed, args.seconds, bool(args.trace))
     finally:
         workload.close()
     print(json.dumps(record), flush=True)

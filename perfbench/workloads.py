@@ -1,11 +1,14 @@
-"""The three workloads: seeded inputs, one round of operations, and their checks.
+"""The four workloads: seeded inputs, one round of operations, and their checks.
 
 A workload is built from ``--seed`` alone and holds one round of operations
 (``ops``).  A run repeats whole rounds, so every run attempts the same
 operations in the same proportions, whatever the seed and the run length.
 Operations marked ``fault`` are kept faults: they fail every time on inputs
 that do not depend on the seed, and they run in a separate process so that
-their time and memory stay out of the metrics.
+their time and memory stay out of the metrics.  Which operations are kept
+faults is fixed here (ANNULUS_STALLS, STALLED_DRAWS, STALL_FAMILY), never
+found by running the program, so the timed inputs are the same on every
+commit.
 
 The catalog of ``qgamma-catalog`` and the families of ``explicit-modulus``
 are drawn from the fixed ``CATALOG_SEED``, and ``--seed`` shuffles each
@@ -39,9 +42,17 @@ STALL_FAMILY = (
     (0, 3, 4), (0, 1, 2, 4), (0, 1, 3, 4), (2,), (0, 1, 4), (0, 1, 2, 3), (1, 2, 4), (0, 2, 3),
 )
 STALL_PIECES, STALL_Q = 5, 2.0
+#: annulus grids (circumference, height, Q) on which ``annulus_modulus`` stalls
+#: with two BLAS threads
+ANNULUS_STALLS = frozenset(((12, 12, 1.5), (16, 16, 3.0), (24, 6, 3.0)))
 
 #: seed of the multicurve catalog and of the explicit families
 CATALOG_SEED = 20070709
+#: draws of ``explicit-modulus`` on which ``modulus`` stalls at CATALOG_SEED
+#: (``run.py --list-faults`` finds them anew)
+STALLED_DRAWS = frozenset(
+    (2, 7, 10, 11, 25, 27, 46, 48, 51, 59, 68, 75, 83, 91, 101, 102, 105, 111, 118, 126, 129, 136)
+)
 
 
 @dataclass
@@ -62,8 +73,8 @@ class Workload:
     tracing = False
 
     def warm_up(self):
-        """One untimed operation, so imports and caches are settled."""
-        self.run(next(op for op in self.ops if not op.fault))
+        """One untimed operation, the same whatever the seed, so imports are settled."""
+        self.run(self.warm)
 
     def close(self):
         pass
@@ -159,7 +170,7 @@ class QGammaCatalog(Workload):
     SPARSE = 2
     LEVY_SIZES = (7, 8, 9, 9, 9, 9)
 
-    def __init__(self, seed, root):
+    def __init__(self, seed):
         from confdim import suites
 
         rng = np.random.default_rng(CATALOG_SEED)
@@ -179,6 +190,7 @@ class QGammaCatalog(Workload):
                info={"expected": expected})
             for i, (kind, comps, expected) in enumerate(kinds)
         ]
+        self.warm = ops[0]
         self.ops = [ops[i] for i in relabel.permutation(len(ops))]
 
     def run(self, op):
@@ -218,26 +230,22 @@ class ExplicitModulus(Workload):
     # round, inside the cluster of 15-20 ms solves at Q = 1.5 rather than at
     # one of the few slower ones.
     min_rounds = 2
-    SOLVES = 120
+    DRAWS = 142
     QS = (1.0, 1.5, 2.0, 3.0)
 
-    def __init__(self, seed, root):
-        """Draw families until SOLVES of them solve; the draws that stall are skipped.
+    def __init__(self, seed):
+        """DRAWS families from CATALOG_SEED, all kept; STALLED_DRAWS are kept faults.
 
-        ``modulus`` stalls on 22 of the 142 draws this takes; they are left
-        out, and the fixed STALL_FAMILY stands for that fault in every
-        round instead.  The families are not relabeled per seed, unlike the
-        multicurves: the dual solver's path depends on the order of curves and
-        pieces, and relabeling moved the slowest solve of a round between
-        0.017 s and 0.19 s from seed to seed.  The seed orders the round.
+        The families are not relabeled per seed, unlike the multicurves: the
+        dual solver's path depends on the order of curves and pieces, and
+        relabeling moved the slowest solve of a round between 0.017 s and
+        0.19 s from seed to seed.  The seed orders the round.
         """
         from confdim import suites
-        from confdim.spectral import ConvergenceError
 
         rng = np.random.default_rng(CATALOG_SEED)
-        self.stalled = []  # (pieces, curves, Q) of the draws left out
         ops = []
-        while len(ops) < self.SOLVES:
+        while len(ops) < self.DRAWS:
             pieces = int(rng.integers(20, 81))
             family = suites.random_family(rng, pieces, max_curves=int(rng.integers(10, 101)),
                                           max_size=10)
@@ -245,17 +253,11 @@ class ExplicitModulus(Workload):
             if len(family.curves) < 10:
                 continue
             curves = tuple(c.sorted_indices() for c in family.curves)
-            try:
-                run_explicit(curves, pieces, q)
-            except ConvergenceError:
-                self.stalled.append((pieces, len(curves), q))
-                continue
-            ops.append(Op(("family", len(ops)), (curves, pieces, q)))
+            ops.append(Op(("family", len(ops)), (curves, pieces, q),
+                          fault=len(ops) in STALLED_DRAWS))
         ops.append(Op(("stall",), (STALL_FAMILY, STALL_PIECES, STALL_Q), fault=True))
+        self.warm = ops[0]
         self.ops = [ops[i] for i in np.random.default_rng([seed, 3]).permutation(len(ops))]
-
-    def warm_up(self):
-        pass  # every family was solved once while the inputs were drawn
 
     def run(self, op):
         return run_explicit(*op.payload)
@@ -267,22 +269,66 @@ class ExplicitModulus(Workload):
         check_explicit_result(*op.payload, result)
 
 
+# -- annulus-modulus -------------------------------------------------------------------
+
+
+def run_annulus(cols, rows, q):
+    from confdim.covers import annulus_modulus, grid_annulus
+
+    return annulus_modulus(grid_annulus(cols, rows), q)
+
+
+class AnnulusModulus(Workload):
+    """``annulus_modulus`` on fixed grids: the dual solve with constraint generation.
+
+    Short and wide, square, and tall and long grids, so that a cut in
+    constraint-generation rounds shows on the square grids and not on the
+    wide one.  The inputs are fixed; the seed orders the round.
+    """
+
+    name = "annulus-modulus"
+    # Ten solves beyond the tail in three rounds: the eleventh-slowest of 45,
+    # the middle one of the three 12x12 solves at Q = 2 (about 0.5 s), below
+    # the nine of 16x16 at Q = 1.5 and 2 and of 12x12 at Q = 3.
+    min_rounds = 3
+    GRIDS = ((256, 4), (8, 8), (12, 12), (16, 16), (6, 24), (24, 6))
+    QS = (1.5, 2.0, 3.0)
+
+    def __init__(self, seed):
+        ops = [Op(("annulus", c, h, q), (c, h, q), fault=(c, h, q) in ANNULUS_STALLS)
+               for c, h in self.GRIDS for q in self.QS]
+        self.warm = ops[0]
+        self.ops = [ops[i] for i in np.random.default_rng([seed, 5]).permutation(len(ops))]
+
+    def run(self, op):
+        return run_annulus(*op.payload)
+
+    def signature(self, result):
+        return (result.value, result.optimizer.rho.tobytes())
+
+    def check(self, op, result):
+        checks.check_annulus(*op.payload, result.value, result.certificate.ok)
+
+
 # -- kept faults ---------------------------------------------------------------------
 
 
-def run_fault(curves, pieces, q):
-    """Run one kept-fault solve; return its error text, or None if it solved.
+def run_fault(workload, op):
+    """Run one kept-fault operation; return {"error": ..., "wrong": ...}.
 
-    A solve that no longer fails is checked like any other operation, so a
-    mended fault must also be right.
+    ``error`` is the text of the ConvergenceError while the fault stays.  An
+    operation that no longer stalls is checked like any other, and ``wrong``
+    says what is wrong with it, or that it failed in another way.
     """
     from confdim.spectral import ConvergenceError
 
     try:
-        check_explicit_result(curves, pieces, q, run_explicit(curves, pieces, q))
+        workload.check(op, workload.run(op))
     except ConvergenceError as exc:
-        return f"ConvergenceError: {exc}"
-    return None
+        return {"error": f"ConvergenceError: {exc}", "wrong": None}
+    except Exception as exc:  # a wrong answer, or a failure other than the kept one
+        return {"error": None, "wrong": f"{type(exc).__name__}: {exc}"}
+    return {"error": None, "wrong": None}
 
 
 # -- cli-session -----------------------------------------------------------------------
@@ -308,9 +354,9 @@ class CliSession(Workload):
     min_rounds = 2
     measures_children = True
 
-    def __init__(self, seed, root):
+    def __init__(self, seed):
         rng = np.random.default_rng([seed, 4])
-        out = os.path.join(root, "perfbench", "out")
+        out = os.path.join(HERE, "out")
         os.makedirs(out, exist_ok=True)
         self.dir = tempfile.mkdtemp(prefix="cli-", dir=out)
         self.exports = []  # trace data of the traced passes, one per command
@@ -357,6 +403,7 @@ class CliSession(Workload):
             ("props", ["verify", "props"], None),
         ]
         self.ops = [Op((kind,), argv, info={"params": params}) for kind, argv, params in commands]
+        self.warm = self.ops[0]
 
     def run(self, op):
         if self.tracing:
@@ -380,4 +427,4 @@ class CliSession(Workload):
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
-WORKLOADS = {w.name: w for w in (QGammaCatalog, ExplicitModulus, CliSession)}
+WORKLOADS = {w.name: w for w in (QGammaCatalog, AnnulusModulus, ExplicitModulus, CliSession)}
