@@ -12,6 +12,13 @@ that are homotopic to curve i.  Peripheral and inessential components
 contribute nothing.  The critical exponent Q(Gamma) is the unique Q >= 1
 where the leading eigenvalue crosses 1, when the spec contains an irreducible
 piece and no Levy cycle blocks the decay.
+
+A Levy cycle is a cycle of degree-1 components; one decomposition of the
+degree-1 count matrix finds whether one exists.  For the exponent, the
+support of the transition matrix, which does not depend on Q, is
+decomposed once per spec; each evaluation then fills only the irreducible
+blocks and their Q-derivatives, and Newton's method on log lambda(Q)
+reaches the root in a handful of evaluations.
 """
 
 from __future__ import annotations
@@ -22,9 +29,12 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from confdim.spectral import (
+    IRREDUCIBLE,
     ConvergenceError,
     NonNegMatrix,
+    block_spectra,
     decompose,
+    perron,
     spectral_radius,
 )
 
@@ -35,13 +45,9 @@ FINITE = "finite"
 ZERO = "zero"
 LEVY_OBSTRUCTED = "levy_obstructed"
 
-#: Exponent used to confirm that the eigenvalue never drops below 1 before
-#: reporting a Levy obstruction.  Any degree >= 2 contributes at most
-#: 2^(1-64) here, so only genuine degree-1 cycles can keep lambda at 1.
-LEVY_PROBE_EXPONENT = 64.0
-
-_Q_DOUBLING_CAP = 2.0**20
-_MAX_SOLVE_STEPS = 400
+#: largest critical exponent the solve looks for
+_Q_CAP = 2.0**20
+_MAX_SOLVE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,29 @@ def lattes_spec() -> MulticurveSpec:
     return MulticurveSpec(curves=("g1",), preimages={"g1": (comp, comp)}, map_degree=4)
 
 
+def _component_table(spec: MulticurveSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Essential components as arrays ``(target, source, degree)``, one row each.
+
+    A row (i, j, d) is a component of curve j's preimage homotopic to curve
+    i with degree d.  Peripheral and inessential components are dropped.
+    """
+    index = {label: i for i, label in enumerate(spec.curves)}
+    target, source, degree = [], [], []
+    for j, comps in enumerate(spec.preimages):
+        for comp in comps:
+            if isinstance(comp.classification, Essential):
+                target.append(index[comp.classification.curve])
+                source.append(j)
+                degree.append(comp.degree)
+    return np.array(target, dtype=int), np.array(source, dtype=int), np.array(degree, dtype=float)
+
+
+def _matrix(size: int, target, source, weights) -> np.ndarray:
+    a = np.zeros((size, size))
+    np.add.at(a, (target, source), weights)
+    return a
+
+
 def transition_matrix(spec: MulticurveSpec, q: float) -> NonNegMatrix:
     """Assemble the exponent-Q transition matrix of the spec.
 
@@ -184,63 +213,71 @@ def transition_matrix(spec: MulticurveSpec, q: float) -> NonNegMatrix:
     """
     if q < 1.0:
         raise ValueError(f"exponent must satisfy Q >= 1, got {q}")
-    m = spec.size
-    a = np.zeros((m, m))
-    index = {label: i for i, label in enumerate(spec.curves)}
-    for j in range(m):
-        for comp in spec.preimages[j]:
-            if isinstance(comp.classification, Essential):
-                i = index[comp.classification.curve]
-                a[i, j] += float(comp.degree) ** (1.0 - q)
-    return NonNegMatrix(a)
+    target, source, degree = _component_table(spec)
+    return NonNegMatrix(_matrix(spec.size, target, source, degree ** (1.0 - q)))
 
 
 def leading_eigenvalue(spec: MulticurveSpec, q: float, tol: float = 1e-10) -> float:
-    """Spectral radius of the transition matrix at exponent Q."""
+    """Spectral radius of the transition matrix at exponent Q, to relative ``tol``."""
     return spectral_radius(transition_matrix(spec, q), tol)
 
 
-def _degree_one_adjacency(spec: MulticurveSpec) -> list[list[int]]:
-    """Digraph on curve indices: edge j -> i iff curve j has a degree-1
-    preimage component homotopic to curve i."""
-    index = {label: i for i, label in enumerate(spec.curves)}
-    adj: list[list[int]] = [[] for _ in spec.curves]
-    for j in range(spec.size):
-        for comp in spec.preimages[j]:
-            if comp.degree == 1 and isinstance(comp.classification, Essential):
-                i = index[comp.classification.curve]
-                if i not in adj[j]:
-                    adj[j].append(i)
-    for outs in adj:
-        outs.sort()
-    return adj
+def _degree_one_counts(spec: MulticurveSpec) -> np.ndarray:
+    """Entry (i, j) counts the degree-1 components of curve j homotopic to curve i.
+
+    This is the limit of the transition matrix as Q goes to infinity.
+    """
+    target, source, degree = _component_table(spec)
+    ones = degree == 1.0
+    return _matrix(spec.size, target[ones], source[ones], np.ones(int(ones.sum())))
+
+
+def _witness_cycle(counts: np.ndarray, block: tuple[int, ...]) -> tuple[int, ...]:
+    """A shortest degree-1 cycle through the smallest curve of an irreducible block.
+
+    Breadth-first search from that curve along edges j -> i (curve j has a
+    degree-1 component homotopic to curve i) inside the block, stopped at
+    the first edge back to the start.
+    """
+    start = block[0]
+    members = set(block)
+    parent = {start: start}
+    frontier = [start]
+    while frontier:
+        following = []
+        for j in frontier:
+            for i in np.nonzero(counts[:, j])[0].tolist():
+                if i == start:
+                    path = [j]
+                    while path[-1] != start:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                if i in members and i not in parent:
+                    parent[i] = j
+                    following.append(i)
+        frontier = following
+    raise AssertionError(f"block {block} of the degree-1 digraph has no cycle")
 
 
 def detect_levy_cycles(spec: MulticurveSpec) -> list[tuple[int, ...]]:
-    """All simple cycles of the degree-1 essential-transition digraph.
+    """One witness Levy cycle per irreducible block of the degree-1 digraph.
 
-    Each cycle is a tuple of curve indices (j, j', ...) where each curve has a
-    degree-1 preimage component homotopic to the next, wrapping around.  The
-    list is empty exactly when the spec has no Levy cycle.  Cycles are
-    canonicalized to start at their smallest index and sorted.
+    The degree-1 digraph has an edge j -> i when curve j has a degree-1
+    preimage component homotopic to curve i.  A Levy cycle exists exactly
+    when this digraph has a cycle, that is when its 0/1 matrix has an
+    irreducible block, so one decomposition answers the question in time
+    linear in the number of edges.  Each witness is a simple cycle (j, j',
+    ...) where each curve has a degree-1 component homotopic to the next,
+    wrapping around; it starts at the smallest curve of its block.  The
+    list is sorted, and empty exactly when the spec has no Levy cycle.
     """
-    adj = _degree_one_adjacency(spec)
-    n = spec.size
-    cycles: list[tuple[int, ...]] = []
-    # DFS from each start vertex, restricted to vertices >= start so every
-    # cycle is produced exactly once, anchored at its smallest member.
-    for start in range(n):
-        stack = [(start, (start,))]
-        # iterative DFS with explicit path tuples; graphs here are tiny
-        while stack:
-            v, path = stack.pop()
-            for w in adj[v]:
-                if w == start:
-                    cycles.append(path)
-                elif w > start and w not in path:
-                    stack.append((w, path + (w,)))
-    cycles.sort()
-    return cycles
+    counts = _degree_one_counts(spec)
+    dec = decompose(counts)
+    return sorted(
+        _witness_cycle(counts, blk)
+        for blk, kind in zip(dec.blocks, dec.kinds)
+        if kind == IRREDUCIBLE
+    )
 
 
 def contains_irreducible(spec: MulticurveSpec) -> bool:
@@ -250,69 +287,116 @@ def contains_irreducible(spec: MulticurveSpec) -> bool:
     runs once at Q = 1.
     """
     dec = decompose(transition_matrix(spec, 1.0))
-    return any(kind == "irreducible" for kind in dec.kinds)
+    return any(kind == IRREDUCIBLE for kind in dec.kinds)
+
+
+class _Block:
+    """One irreducible block of the support, laid out once per spec.
+
+    ``flat`` places each essential component inside the block's n x n
+    array; ``start`` holds the Perron vectors of the last evaluation, from
+    which the next one starts on blocks too large for a dense ``eig``.
+    """
+
+    def __init__(self, size, flat, degree):
+        self.size = size
+        self.flat = flat
+        self.degree = degree
+        self.log_degree = np.log(degree)
+        self.start = None
+
+    def fill(self, weights) -> np.ndarray:
+        n = self.size
+        return np.bincount(self.flat, weights, n * n).reshape(n, n)
+
+
+def _support_blocks(spec: MulticurveSpec) -> list[_Block]:
+    """The irreducible blocks of the transition matrix's support.
+
+    The support does not depend on Q, and the spectrum of the block
+    upper-triangular matrix is the union of its diagonal blocks' spectra,
+    so the components between blocks are dropped.
+    """
+    target, source, degree = _component_table(spec)
+    dec = decompose(_matrix(spec.size, target, source, np.ones(len(degree))))
+    block_of = np.empty(spec.size, dtype=int)
+    position = np.empty(spec.size, dtype=int)
+    for b, blk in enumerate(dec.blocks):
+        block_of[list(blk)] = b
+        position[list(blk)] = np.arange(len(blk))
+    blocks = []
+    for b, (blk, kind) in enumerate(zip(dec.blocks, dec.kinds)):
+        if kind != IRREDUCIBLE:
+            continue
+        inside = (block_of[target] == b) & (block_of[source] == b)
+        flat = position[target[inside]] * len(blk) + position[source[inside]]
+        blocks.append(_Block(len(blk), flat, degree[inside]))
+    return blocks
+
+
+def _evaluate(blocks: list[_Block], q: float, tol: float) -> tuple[float, float]:
+    """lambda(Q) and its derivative, from the block with the largest radius.
+
+    ``lambda' = u^T A' v / u^T v`` with the left and right Perron vectors of
+    that block, and ``A'_ij = -sum ln(d) d^(1-Q)``.
+    """
+    best = None
+    for blk in blocks:
+        terms = blk.degree ** (1.0 - q)
+        p = perron(blk.fill(terms), tol, start=blk.start)
+        blk.start = (p.v, p.u)
+        if best is None or p.lam > best[0].lam:
+            best = (p, blk, terms)
+    p, blk, terms = best
+    slope = p.u @ blk.fill(-blk.log_degree * terms) @ p.v / (p.u @ p.v)
+    return p.lam, float(slope)
 
 
 def q_of_multicurve(spec: MulticurveSpec, tol: float = 1e-10) -> QResult:
     """Solve lambda(Q) = 1 for the critical exponent of the spec.
 
-    Returns Zero when no irreducible sub-multicurve exists (the matrix is
-    nilpotent and the exponent is 0 by convention), LevyObstructed when a
-    degree-1 cycle pins the eigenvalue at or above 1 for every exponent, and
-    Finite(Q) otherwise, located by doubling then bisection.  The reported
-    eigenvalue at a Finite exponent is within ``tol`` of 1.
+    Returns LevyObstructed when a degree-1 cycle pins the eigenvalue at or
+    above 1 for every exponent (``achieved_lambda`` is the radius of the
+    degree-1 count matrix, the limit of lambda(Q) as Q grows); Zero when no
+    irreducible sub-multicurve exists (the exponent is 0 by convention); and
+    Finite(Q) otherwise.  The root comes from Newton's method on
+    log lambda(Q) from Q = 1: lambda is log-convex in Q (Kingman, Quart. J.
+    Math. 1961), so each step lands at or before the root, and a bracket of
+    the evaluated exponents bisects if roundoff carries an iterate past it.
+    The solve stops when lambda is within ``tol`` of 1 and the next step (or
+    the bracket) is at most ``tol``.  ``iterations`` counts evaluations.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not contains_irreducible(spec):
+    if detect_levy_cycles(spec):
+        lam = spectral_radius(_degree_one_counts(spec))
+        return QResult(kind=LEVY_OBSTRUCTED, q=None, achieved_lambda=lam, iterations=1)
+    blocks = _support_blocks(spec)
+    if not blocks:
         return QResult(kind=ZERO, q=0.0, achieved_lambda=0.0, iterations=0)
 
     eigen_tol = max(tol / 100.0, 1e-13)
-    evals = 0
-
-    if detect_levy_cycles(spec):
-        lam_probe = leading_eigenvalue(spec, LEVY_PROBE_EXPONENT, eigen_tol)
-        evals += 1
-        if lam_probe >= 1.0:
-            return QResult(
-                kind=LEVY_OBSTRUCTED, q=None, achieved_lambda=lam_probe, iterations=evals
-            )
-
-    lam_lo = leading_eigenvalue(spec, 1.0, eigen_tol)
-    evals += 1
-    if abs(lam_lo - 1.0) <= tol:
-        return QResult(kind=FINITE, q=1.0, achieved_lambda=lam_lo, iterations=evals)
-
-    # Doubling phase: lambda is strictly decreasing, so grow the right
-    # endpoint until it dips below 1.
-    lo, hi = 1.0, 2.0
-    while True:
-        lam_hi = leading_eigenvalue(spec, hi, eigen_tol)
-        evals += 1
-        if abs(lam_hi - 1.0) <= tol:
-            return QResult(kind=FINITE, q=hi, achieved_lambda=lam_hi, iterations=evals)
-        if lam_hi < 1.0:
-            break
-        lo = hi
-        hi *= 2.0
-        if hi > _Q_DOUBLING_CAP:
-            raise ConvergenceError(
-                f"no exponent with lambda < 1 found up to Q={lo}; last lambda={lam_hi}"
-            )
-
-    # Bisection: invariant lambda(lo) >= 1 >= lambda(hi).
-    for _ in range(_MAX_SOLVE_STEPS):
-        mid = 0.5 * (lo + hi)
-        lam_mid = leading_eigenvalue(spec, mid, eigen_tol)
-        evals += 1
-        if hi - lo <= tol and abs(lam_mid - 1.0) <= tol:
-            return QResult(kind=FINITE, q=mid, achieved_lambda=lam_mid, iterations=evals)
-        if lam_mid >= 1.0:
-            lo = mid
+    q, q_lo, q_hi = 1.0, 1.0, np.inf
+    for evals in range(1, _MAX_SOLVE_STEPS + 1):
+        lam, slope = _evaluate(blocks, q, eigen_tol)
+        step = -np.log(lam) * lam / slope
+        if abs(lam - 1.0) <= tol and (abs(step) <= tol or q_hi - q_lo <= tol):
+            return QResult(kind=FINITE, q=q, achieved_lambda=lam, iterations=evals)
+        if lam > 1.0:
+            q_lo = q
         else:
-            hi = mid
+            q_hi = q
+        following = q + step
+        if not q_lo < following < q_hi:
+            following = 0.5 * (q_lo + q_hi)
+        if not following <= _Q_CAP:
+            raise ConvergenceError(
+                f"no exponent with lambda < 1 found up to Q={_Q_CAP}; "
+                f"bracket [{q_lo}, {q_hi}], lambda={lam} at Q={q}"
+            )
+        q = float(following)
     raise ConvergenceError(
-        f"critical-exponent bisection stalled on bracket [{lo}, {hi}] at tol={tol}"
+        f"critical-exponent Newton solve stalled on bracket [{q_lo}, {q_hi}] at tol={tol}"
     )
 
 
@@ -370,11 +454,7 @@ def irreducible_core(spec: MulticurveSpec, q: float, tol: float = 1e-10) -> Irre
     """
     if not contains_irreducible(spec):
         raise ValueError("spec has no irreducible sub-multicurve")
-    matrix = transition_matrix(spec, q)
-    dec = decompose(matrix)
-    radii = [
-        spectral_radius(matrix.entries[np.ix_(blk, blk)], tol) if kind == "irreducible" else 0.0
-        for blk, kind in zip(dec.blocks, dec.kinds)
-    ]
+    dec, spectra = block_spectra(transition_matrix(spec, q), tol)
+    radii = [p.lam for p in spectra]
     best = int(np.argmax(radii))
     return IrreducibleCore(indices=tuple(dec.blocks[best]), leading_lambda=radii[best])

@@ -202,3 +202,25 @@ def exhaustive_min_essential(c: int, h: int, weights) -> float:
         if total < best:
             best = total
     return best
+
+
+def eig_transition(spec, q: float) -> np.ndarray:
+    """Transition matrix at exponent Q, built from the spec's fields alone."""
+    index = {label: i for i, label in enumerate(spec.curves)}
+    a = np.zeros((len(spec.curves), len(spec.curves)))
+    for j, comps in enumerate(spec.preimages):
+        for comp in comps:
+            target = getattr(comp.classification, "curve", None)
+            if target is not None:
+                a[index[target], j] += float(comp.degree) ** (1.0 - q)
+    return a
+
+
+def eig_radius(spec, q: float) -> float:
+    """Spectral radius of the transition matrix from ``numpy.linalg.eigvals``."""
+    return float(np.max(np.abs(np.linalg.eigvals(eig_transition(spec, q)))))
+
+
+def crosses_one(spec, q: float, window: float) -> bool:
+    """Whether the eigvals radius is above 1 at ``q - window`` and below at ``q + window``."""
+    return eig_radius(spec, q - window) > 1.0 > eig_radius(spec, q + window)

@@ -94,6 +94,22 @@ class TestQGamma:
         assert payload["kind"] == "levy_obstructed"
         assert payload["q"] is None
 
+    def test_finite_json_bytes(self, lattes_file, capsys):
+        assert run(["q-gamma", "--input", lattes_file]) == 0
+        assert capsys.readouterr().out == (
+            '{"kind": "finite", "q": 2, "achieved_lambda": 1, "iterations": 2}\n'
+        )
+
+    def test_finite_csv_bytes(self, lattes_file, capsys):
+        assert run(["q-gamma", "--input", lattes_file, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "kind,q,achieved_lambda,iterations\nfinite,2,1,2\n"
+
+    def test_levy_json_bytes(self, levy_file, capsys):
+        assert run(["q-gamma", "--input", levy_file]) == 3
+        assert capsys.readouterr().out == (
+            '{"kind": "levy_obstructed", "q": null, "achieved_lambda": 1, "iterations": 1}\n'
+        )
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         bad = write_json(tmp_path / "bad.json", {"schema_version": 9, "curves": ["a"]})
         assert run(["q-gamma", "--input", bad]) == 2

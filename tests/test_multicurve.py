@@ -1,7 +1,11 @@
 import math
+import time
 
+import networkx as nx
 import numpy as np
 import pytest
+
+import oracles
 
 from confdim.multicurve import (
     CatalogReport,
@@ -358,3 +362,182 @@ class TestIrreducibleCore:
     def test_rejects_spec_without_irreducible_part(self):
         with pytest.raises(ValueError):
             irreducible_core(ALL_PERIPHERAL, 2.0)
+
+
+def cycle_spec(ks, extras=()):
+    """k_j degree-2 components of curve j onto curve j+1, around a cycle,
+    plus ``extras`` given as (source, target, degree)."""
+    labels = [f"g{j}" for j in range(len(ks))]
+    comps = {label: [] for label in labels}
+    for j, k in enumerate(ks):
+        comps[labels[j]] += [essential(2, labels[(j + 1) % len(ks)])] * int(k)
+    for source, target, degree in extras:
+        comps[labels[source]].append(essential(degree, labels[target]))
+    return MulticurveSpec(curves=labels, preimages=comps)
+
+
+def random_nonsymmetric_cycle(rng):
+    """2-4 curves with 8-120 unequal degree-2 components each onto the next,
+    plus 1-3 extra components of degree 3-5."""
+    m = int(rng.integers(2, 5))
+    ks = rng.choice(np.arange(8, 121), size=m, replace=False)
+    extras = [
+        (int(rng.integers(0, m)), int(rng.integers(0, m)), int(rng.integers(3, 6)))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    return cycle_spec(ks, extras)
+
+
+class TestPowerIterationStalls:
+    """Specs on which the absolute-tolerance power iteration with a fixed
+    unit shift stalled into ConvergenceError."""
+
+    def test_cycle_with_100_and_120_components(self):
+        spec = cycle_spec([100, 120])
+        res = q_of_multicurve(spec)
+        assert res.kind == "finite"
+        assert oracles.crosses_one(spec, res.q, 1e-6)
+        assert res.q == pytest.approx(1.0 + 0.5 * math.log2(100 * 120), abs=1e-9)
+
+    def test_cycle_with_128_components_and_a_self_component(self):
+        spec = cycle_spec([128, 128], extras=[(0, 0, 2)])
+        res = q_of_multicurve(spec)
+        assert res.kind == "finite"
+        assert oracles.crosses_one(spec, res.q, 1e-6)
+        # lambda = 2^(1-Q) (1 + sqrt(1 + 4 * 128^2)) / 2
+        expected = 1.0 + math.log2((1.0 + math.sqrt(1.0 + 4.0 * 128**2)) / 2.0)
+        assert res.q == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_levyfree_specs_at_q_16(self, size):
+        rng = np.random.default_rng(20260819 + size)
+        seen = 0
+        while seen < 10:
+            spec = random_levyfree_spec(rng)
+            if spec.size != size:
+                continue
+            seen += 1
+            expected = oracles.eig_radius(spec, 16.0)
+            assert leading_eigenvalue(spec, 16.0) == pytest.approx(expected, rel=1e-9)
+            res = q_of_multicurve(spec)
+            assert oracles.crosses_one(spec, res.q, 1e-6)
+
+    @pytest.mark.parametrize("q", [8.6, 12.0, 16.0, 2.0**20])
+    def test_leading_eigenvalue_at_large_exponents(self, q):
+        rng = np.random.default_rng(53)
+        seen = 0
+        while seen < 10:
+            spec = random_levyfree_spec(rng)
+            if spec.size != 4:
+                continue
+            seen += 1
+            expected = oracles.eig_radius(spec, q)
+            assert leading_eigenvalue(spec, q) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
+class TestNewtonSolve:
+    def assert_solved(self, spec):
+        res = q_of_multicurve(spec)
+        assert res.kind == "finite"
+        assert res.iterations <= 10
+        assert oracles.crosses_one(spec, res.q, 1e-9)
+        return res
+
+    def test_random_levyfree_specs(self):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            self.assert_solved(random_levyfree_spec(rng))
+
+    def test_nonsymmetric_cycles(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            self.assert_solved(random_nonsymmetric_cycle(rng))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 17, 64, 1000])
+    @pytest.mark.parametrize("curves", [1, 2, 3])
+    def test_symmetric_cycles_closed_form(self, k, curves):
+        res = self.assert_solved(cycle_spec([k] * curves))
+        assert res.q == pytest.approx(1.0 + math.log2(k), abs=1e-9)
+
+    def test_degree_three_pair_closed_form(self):
+        res = self.assert_solved(DEG3_PAIR)
+        assert res.q == pytest.approx(1.0 + math.log(2) / math.log(3), abs=1e-9)
+
+    def test_lattes_takes_two_evaluations(self):
+        """log lambda is linear in Q here, so one Newton step lands on Q = 2."""
+        res = q_of_multicurve(lattes_spec())
+        assert (res.q, res.achieved_lambda, res.iterations) == (2.0, 1.0, 2)
+
+    def test_levy_reports_degree_one_radius(self):
+        """Two degree-1 components of a onto b and one of b onto a: the degree-1
+        count matrix [[0, 1], [2, 0]] has radius sqrt(2)."""
+        spec = MulticurveSpec(
+            curves=("a", "b"),
+            preimages={
+                "a": (essential(1, "b"), essential(1, "b"), essential(3, "a")),
+                "b": (essential(1, "a"),),
+            },
+        )
+        res = q_of_multicurve(spec)
+        assert (res.kind, res.q, res.iterations) == ("levy_obstructed", None, 1)
+        assert res.achieved_lambda == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def random_degree_one_spec(rng, n):
+    """Curves with random degree-1 components (the digraph under test) and
+    degree-2 components, which the Levy test must ignore."""
+    labels = [f"c{i}" for i in range(n)]
+    density = rng.uniform(0.05, 0.4)
+    preimages = {}
+    for j in range(n):
+        comps = [essential(1, labels[i]) for i in range(n) if rng.random() < density]
+        comps += [essential(2, labels[int(i)]) for i in rng.integers(0, n, size=2)]
+        preimages[labels[j]] = tuple(comps)
+    return MulticurveSpec(curves=labels, preimages=preimages)
+
+
+class TestLevyAgainstCycleEnumeration:
+    @staticmethod
+    def degree_one_digraph(spec):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(spec.size))
+        for j, comps in enumerate(spec.preimages):
+            for comp in comps:
+                if comp.degree == 1:
+                    graph.add_edge(j, spec.index_of(comp.classification.curve))
+        return graph
+
+    def test_witnesses_match_simple_cycles(self):
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            spec = random_degree_one_spec(rng, int(rng.integers(1, 9)))
+            graph = self.degree_one_digraph(spec)
+            witnesses = detect_levy_cycles(spec)
+
+            assert (witnesses == []) == (next(nx.simple_cycles(graph), None) is None)
+            for cycle in witnesses:
+                assert len(set(cycle)) == len(cycle)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert graph.has_edge(a, b)
+            nontrivial = [
+                frozenset(scc)
+                for scc in nx.strongly_connected_components(graph)
+                if len(scc) > 1 or graph.has_edge(next(iter(scc)), next(iter(scc)))
+            ]
+            component_of = {v: scc for scc in nontrivial for v in scc}
+            assert len(witnesses) == len(nontrivial)
+            assert {component_of[cycle[0]] for cycle in witnesses} == set(nontrivial)
+
+    def test_complete_digraph_on_200_curves_is_fast(self):
+        labels = [f"c{i}" for i in range(200)]
+        spec = MulticurveSpec(
+            curves=labels,
+            preimages={
+                label: tuple(essential(1, other) for other in labels if other != label)
+                for label in labels
+            },
+        )
+        started = time.perf_counter()
+        witnesses = detect_levy_cycles(spec)
+        assert time.perf_counter() - started < 0.1
+        assert witnesses == [(0, 1)]

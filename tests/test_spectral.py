@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from confdim.spectral import (
+    DENSE_EIG_MAX,
     NonNegMatrix,
     decompose,
     is_irreducible,
     leading_block,
+    perron,
     pf_eigenvector,
     spectral_radius,
 )
@@ -111,6 +113,68 @@ class TestSpectralRadius:
                 pos += k
             expected = max(spectral_radius(blk) for blk in blocks)
             assert spectral_radius(a) == pytest.approx(expected, abs=2e-12)
+
+
+def eigvals_radius(a):
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def sparse_irreducible(rng, dim):
+    """A random Hamiltonian cycle with weights in [0.5, 1.5] plus sparse extras."""
+    a = np.zeros((dim, dim))
+    order = rng.permutation(dim)
+    a[np.roll(order, -1), order] = 0.5 + rng.random(dim)
+    return a + random_nonneg(rng, dim, density=3.0 / dim)
+
+
+class TestPerron:
+    def assert_certified(self, a, p):
+        rho = eigvals_radius(a)
+        assert p.lo <= rho * (1 + 1e-13) and rho <= p.hi * (1 + 1e-13)
+        assert p.hi - p.lo <= 1e-12 * p.hi
+        for vec in (p.v, p.u):
+            assert np.all(vec > 0.0)
+            assert vec.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_small_blocks_bracket_the_radius(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            a = sparse_irreducible(rng, int(rng.integers(2, DENSE_EIG_MAX + 1)))
+            self.assert_certified(a, perron(a))
+
+    def test_large_blocks_from_cold_and_warm_starts(self):
+        rng = np.random.default_rng(73)
+        for _ in range(5):
+            a = sparse_irreducible(rng, int(rng.integers(DENSE_EIG_MAX + 1, 200)))
+            cold = perron(a)
+            self.assert_certified(a, cold)
+            nearby = a * (1.0 + 1e-3 * rng.random(a.shape))
+            self.assert_certified(nearby, perron(nearby, start=(cold.v, cold.u)))
+
+    def test_left_and_right_vectors(self):
+        a = np.array([[1.0, 2.0], [3.0, 0.0]])
+        p = perron(a)
+        np.testing.assert_allclose(a @ p.v, p.lam * p.v, rtol=1e-12)
+        np.testing.assert_allclose(a.T @ p.u, p.lam * p.u, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_tolerance_is_relative(self, scale):
+        """A 2-cycle with entries 100 and 120 stalled an absolute 1e-12 tolerance."""
+        a = scale * np.array([[0.0, 100.0], [120.0, 0.0]])
+        assert spectral_radius(a) == pytest.approx(scale * np.sqrt(12000.0), rel=1e-12)
+
+    def test_nearly_defective_block(self):
+        """Eigenvalues 1 +- 1e-15: the unit shift would need about 1e12 steps."""
+        assert spectral_radius([[1.0, 1.0], [1e-30, 1.0]]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_weakly_coupled_cycles_of_equal_radius(self):
+        """Two 3-cycles of unit weights, one edge each way between them, the
+        return edge 1e-20: (lam^3 - 1)^2 = 1e-20.  ``eigvals`` is off by 1e-8."""
+        a = np.zeros((6, 6))
+        for source, target in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]:
+            a[target, source] = 1.0
+        a[0, 5] = 1e-20
+        assert spectral_radius(a) == pytest.approx((1.0 + 1e-10) ** (1.0 / 3.0), rel=1e-14)
 
 
 class TestIsIrreducible:
