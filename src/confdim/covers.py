@@ -9,12 +9,15 @@ On top of the grids:
 
 * a separation oracle returning a minimal-weight essential cycle, by cutting
   the cylinder along a seam and running shortest paths between seam copies;
-* cyclic covers and induced covers, with the degree-scaling check for moduli;
+* cyclic covers, with the degree-scaling check for moduli;
 * the degree-4 torus-quotient model (pillowcase dynamics), whose level-n
   curve preimages carry marked annulus neighborhoods, feeding the growth
   bound that compares summed preimage-annuli moduli against transition
   matrix powers;
-* roundness and quasipacking diagnostics for embedded pieces.
+* the quasipacking check of a grid or of explicit square cells.
+
+The constructors refuse grids over a cell cap: 100000 cells unless
+``CONFDIM_MAX_CELLS`` (or ``max_cells=`` of ``lattes_model``) says otherwise.
 """
 
 from __future__ import annotations
@@ -22,19 +25,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
-from confdim.modulus import (
-    CombCurve,
-    Cover,
-    CurveFamily,
-    ModulusResult,
-    modulus,
-)
+from confdim.modulus import CombCurve, Cover, CurveFamily, ModulusResult, modulus
 from confdim.multicurve import MulticurveSpec, lattes_spec, transition_matrix
 
 DEFAULT_MAX_CELLS = 100_000
@@ -44,11 +42,15 @@ DEFAULT_MAX_CELLS = 100_000
 _EDGE_FLOOR = 1e-300
 
 
-def _cell_cap(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    raw = os.environ.get("CONFDIM_MAX_CELLS", "")
-    return int(raw) if raw.strip() else DEFAULT_MAX_CELLS
+def _cell_cap(cells: int, what: str, explicit: Optional[int] = None) -> None:
+    """Refuse to build ``what`` when its ``cells`` exceed the cell cap."""
+    raw = os.environ.get("CONFDIM_MAX_CELLS", "").strip()
+    cap = int(explicit if explicit is not None else raw or DEFAULT_MAX_CELLS)
+    if cells > cap:
+        raise ValueError(
+            f"{what} needs {cells} cells, over the cap of {cap} "
+            "(raise CONFDIM_MAX_CELLS to allow it)"
+        )
 
 
 @dataclass(frozen=True)
@@ -85,20 +87,6 @@ class EmbeddedCover:
             raise ValueError(f"piece {piece} outside cover")
         return piece % self.cols, piece // self.cols
 
-    def neighbors(self, piece: int) -> tuple[int, ...]:
-        """Pieces whose closed cells intersect this one (edges or corners)."""
-        col, row = self.cell_at(piece)
-        out = set()
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                if dc == 0 and dr == 0:
-                    continue
-                rr = row + dr
-                if 0 <= rr < self.rows:
-                    out.add(self.cell_index(col + dc, rr))
-        out.discard(piece)
-        return tuple(sorted(out))
-
     def as_cover(self) -> Cover:
         return Cover(piece_count=self.piece_count)
 
@@ -109,6 +97,7 @@ def grid_annulus(circumference: int, height: int) -> EmbeddedCover:
         raise ValueError(f"circumference must be >= 3 cells, got {circumference}")
     if height < 1:
         raise ValueError(f"height must be >= 1 cell, got {height}")
+    _cell_cap(circumference * height, f"a {circumference}x{height} annulus")
     return EmbeddedCover(cols=circumference, rows=height, cell_side=1.0)
 
 
@@ -116,6 +105,7 @@ def refine(cover: EmbeddedCover, k: int) -> EmbeddedCover:
     """Split every cell k-by-k; counts multiply by k^2 and the mesh shrinks by k."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"refinement factor must be an integer >= 2, got {k!r}")
+    _cell_cap(cover.piece_count * k * k, f"refinement by {k}")
     return EmbeddedCover(cols=cover.cols * k, rows=cover.rows * k, cell_side=cover.cell_side / k)
 
 
@@ -137,6 +127,7 @@ def cyclic_cover(annulus: EmbeddedCover, d: int) -> CoveringMapData:
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"covering degree must be a positive integer, got {d!r}")
+    _cell_cap(annulus.piece_count * d, f"a degree-{d} cover")
     source = EmbeddedCover(cols=annulus.cols * d, rows=annulus.rows, cell_side=annulus.cell_side)
     piece_map = tuple(
         annulus.cell_index(col % annulus.cols, row)
@@ -144,24 +135,6 @@ def cyclic_cover(annulus: EmbeddedCover, d: int) -> CoveringMapData:
         for col in range(source.cols)
     )
     return CoveringMapData(source=source, target=annulus, piece_map=piece_map, degree=d)
-
-
-def induced_cover(
-    covmap: CoveringMapData, curves: Sequence[CombCurve] = ()
-) -> tuple[Cover, tuple[CombCurve, ...]]:
-    """The source cover together with preimage transports of target curves.
-
-    An essential cycle in the base lifts to a single connected essential
-    cycle upstairs whose support is the full preimage of the base support,
-    so each transported curve meets exactly degree-times as many pieces.
-    """
-    fibers: dict[int, list[int]] = {}
-    for src, tgt in enumerate(covmap.piece_map):
-        fibers.setdefault(tgt, []).append(src)
-    lifted = tuple(
-        CombCurve(i for piece in curve.incidence for i in fibers[piece]) for curve in curves
-    )
-    return covmap.source.as_cover(), lifted
 
 
 class _SeamStrip:
@@ -176,7 +149,6 @@ class _SeamStrip:
 
     def __init__(self, annulus: EmbeddedCover):
         c, h = annulus.cols, annulus.rows
-        self.annulus = annulus
         self.c, self.h = c, h
         width = c + 1
         self.node_count = width * h
@@ -213,7 +185,7 @@ class _SeamStrip:
         self._arrival_cell = cells[self._heads]
         self._into_sink = (self._heads % width) == c
 
-    def shortest_essential(self, rho: np.ndarray) -> tuple[float, CombCurve]:
+    def shortest_essential(self, rho: np.ndarray) -> CombCurve:
         weights = rho[self._arrival_cell] + _EDGE_FLOOR
         weights[self._into_sink] = _EDGE_FLOOR
         graph = csr_matrix(
@@ -236,32 +208,18 @@ class _SeamStrip:
         while node >= 0:
             cells.add(int(self._cell_of_node[node]))
             node = int(pred[best_row, node])
-        return best_total, CombCurve(cells)
-
-
-def essential_cycle_oracle(annulus: EmbeddedCover, rho) -> CombCurve:
-    """A minimal-weight cycle winding once around the cylinder.
-
-    Weights are per piece and counted once each, however often a geometric
-    representative would revisit the cell.  Ties break deterministically
-    (lowest seam row, then the sparse shortest-path tree's choice).
-    """
-    arr = np.asarray(rho, dtype=float)
-    if arr.size != annulus.piece_count:
-        raise ValueError(f"need {annulus.piece_count} weights, got {arr.size}")
-    if np.any(arr < 0):
-        raise ValueError("weights must be non-negative")
-    return _SeamStrip(annulus).shortest_essential(arr)[1]
+        return CombCurve(cells)
 
 
 def essential_cycle_family(annulus: EmbeddedCover) -> CurveFamily:
-    """The family of essential cycles of the cylinder, as a separation oracle."""
-    strip = _SeamStrip(annulus)
+    """The family of essential cycles of the cylinder, as a separation oracle.
 
-    def oracle(rho: np.ndarray) -> CombCurve:
-        return strip.shortest_essential(rho)[1]
-
-    return CurveFamily(oracle=oracle)
+    The oracle returns a minimal-weight cycle winding once around, each piece
+    counted once however often a geometric representative revisits it.  Ties
+    break deterministically (lowest seam row, then the shortest-path tree's
+    choice).
+    """
+    return CurveFamily(oracle=_SeamStrip(annulus).shortest_essential)
 
 
 def annulus_modulus(
@@ -400,13 +358,7 @@ def lattes_model(
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    cap = _cell_cap(max_cells)
-    top_cells = 128 * 4**levels
-    if top_cells > cap:
-        raise ValueError(
-            f"level {levels} needs {top_cells} cells, over the cap of {cap} "
-            "(raise CONFDIM_MAX_CELLS to allow it)"
-        )
+    _cell_cap(128 * 4**levels, f"level {levels}", max_cells)
 
     covers = tuple(
         EmbeddedCover(cols=16 * 2**n, rows=8 * 2**n, cell_side=1.0 / (16 * 2**n))
@@ -500,11 +452,16 @@ def verify_growth_bound(
         raise ValueError(f"n_max must lie in [0, {len(dynamics.levels) - 1}]")
 
     matrix = transition_matrix(spec, q).entries
+    # Annuli of one shape have one modulus, so each shape is solved once.
+    by_shape: dict[tuple[int, int], float] = {}
     values: dict[tuple[int, int], float] = {}
     for n in range(n_max + 1):
         for mark in dynamics.annuli[n]:
             sub = dynamics.annulus_subcover(mark)
-            values[(n, mark.index)] = annulus_modulus(sub, q, tol=modulus_tol).value
+            shape = (sub.cols, sub.rows)
+            if shape not in by_shape:
+                by_shape[shape] = annulus_modulus(sub, q, tol=modulus_tol).value
+            values[(n, mark.index)] = by_shape[shape]
 
     base_vector = np.array([values[(0, mark.index)] for mark in dynamics.annuli[0]])
 
@@ -550,53 +507,6 @@ def verify_growth_bound(
 
 
 @dataclass(frozen=True)
-class Square:
-    """Axis-aligned square, named by its lower-left corner."""
-
-    side: float
-    corner: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if not (self.side > 0.0 and math.isfinite(self.side)):
-            raise ValueError("square side must be positive and finite")
-
-
-@dataclass(frozen=True)
-class Disk:
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("disk radius must be positive and finite")
-
-
-def roundness(piece: Union[Square, Disk], point: tuple[float, float]) -> float:
-    """Eccentricity of a piece seen from an interior point.
-
-    The ratio of the farthest boundary distance to the inradius at the
-    point; 1 for a disk about its center, sqrt(2) for a square's center.
-    Boundary and exterior points are rejected.
-    """
-    px, py = float(point[0]), float(point[1])
-    if isinstance(piece, Square):
-        x0, y0 = piece.corner
-        s = piece.side
-        gaps = (px - x0, x0 + s - px, py - y0, y0 + s - py)
-        if min(gaps) <= 0.0:
-            raise ValueError("point must be interior to the square")
-        corners = ((x0, y0), (x0 + s, y0), (x0, y0 + s), (x0 + s, y0 + s))
-        farthest = max(math.hypot(px - cx, py - cy) for cx, cy in corners)
-        return farthest / min(gaps)
-    if isinstance(piece, Disk):
-        d = math.hypot(px - piece.center[0], py - piece.center[1])
-        if d >= piece.radius:
-            raise ValueError("point must be interior to the disk")
-        return (piece.radius + d) / (piece.radius - d)
-    raise TypeError(f"unsupported piece type: {type(piece).__name__}")
-
-
-@dataclass(frozen=True)
 class PackingResult:
     ok: bool
     constant: Optional[float]
@@ -608,23 +518,15 @@ def _packing_cells(
     """Centers and radii of the inner balls; cylinder circumference if any."""
     if isinstance(cover, EmbeddedCover):
         s = cover.cell_side
-        centers = np.array(
-            [
-                ((col + 0.5) * s, (row + 0.5) * s)
-                for row in range(cover.rows)
-                for col in range(cover.cols)
-            ]
-        )
-        radii = np.full(len(centers), s / 2.0)
-        return centers, radii, cover.cols * s
-    triples = [(float(x), float(y), float(side)) for x, y, side in cover]
-    if not triples:
+        rows, cols = np.indices((cover.rows, cover.cols)).reshape(2, -1)
+        centers = np.column_stack(((cols + 0.5) * s, (rows + 0.5) * s))
+        return centers, np.full(len(centers), s / 2.0), cover.cols * s
+    cells = np.array([(x, y, side) for x, y, side in cover], dtype=float).reshape(-1, 3)
+    if len(cells) == 0:
         raise ValueError("need at least one cell")
-    if any(side <= 0 for _, _, side in triples):
+    if np.any(cells[:, 2] <= 0):
         raise ValueError("cell sides must be positive")
-    centers = np.array([(x, y) for x, y, _ in triples])
-    radii = np.array([side / 2.0 for _, _, side in triples])
-    return centers, radii, None
+    return cells[:, :2], cells[:, 2] / 2.0, None
 
 
 def quasipacking_check(
@@ -633,23 +535,22 @@ def quasipacking_check(
     """Inner-ball disjointness and the outer-inclusion constant of a cover.
 
     Each square cell gets the inscribed ball about its center; the check
-    fails when any two inner balls overlap as open balls.  On success the
-    constant is the worst circumradius-to-inradius ratio, sqrt(2) for any
-    grid of squares regardless of refinement level.
+    fails when any two inner balls overlap as open balls.  Only pairs of
+    centers within twice the largest radius can overlap, so a k-d tree
+    (periodic around a cylinder) lists those and the exact test runs on
+    them alone.  On success the constant is the worst circumradius-to-
+    inradius ratio, sqrt(2) for any grid of squares regardless of
+    refinement level.
     """
     centers, radii, circumference = _packing_cells(cover)
-    n = len(centers)
-    for start in range(0, n, 512):
-        block = centers[start : start + 512]
-        dx = np.abs(block[:, None, 0] - centers[None, :, 0])
-        if circumference is not None:
-            dx = np.minimum(dx, circumference - dx)
-        dy = block[:, None, 1] - centers[None, :, 1]
-        dist = np.hypot(dx, dy)
-        limit = radii[start : start + 512, None] + radii[None, :]
-        overlap = dist + 1e-12 < limit
-        overlap[np.arange(len(block)), start + np.arange(len(block))] = False
-        if overlap.any():
-            return PackingResult(ok=False, constant=None)
+    boxsize = None if circumference is None else [circumference, 0.0]
+    tree = cKDTree(centers, boxsize=boxsize)
+    i, j = tree.query_pairs(2.0 * radii.max(), output_type="ndarray").T
+    dx = np.abs(centers[i, 0] - centers[j, 0])
+    if circumference is not None:
+        dx = np.minimum(dx, circumference - dx)
+    dist = np.hypot(dx, centers[i, 1] - centers[j, 1])
+    if np.any(dist + 1e-12 < radii[i] + radii[j]):
+        return PackingResult(ok=False, constant=None)
     constant = float(np.max(np.hypot(radii, radii) / radii))
     return PackingResult(ok=True, constant=constant)

@@ -50,19 +50,13 @@ _STALE_LIMIT = 15
 
 @dataclass(frozen=True)
 class Cover:
-    """A finite cover, reduced to its piece count plus optional labels."""
+    """A finite cover, reduced to its piece count."""
 
     piece_count: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.piece_count < 1:
             raise ValueError("a cover needs at least one piece")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.piece_count:
-                raise ValueError("label count must match piece count")
-            object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -196,22 +190,6 @@ def rho_volume(rho: Weights, q: float, piece_set: Optional[Iterable[int]] = None
     if piece_set is None:
         return float(np.sum(arr**q))
     return float(sum(arr[i] ** q for i in piece_set))
-
-
-def weighted_modulus(rho: Weights, family: CurveFamily, q: float) -> float:
-    """Volume-to-length ratio V(rho) / L(rho)^Q for one admissible metric.
-
-    Scale invariant by homogeneity; an upper bound for the modulus of the
-    family, with equality exactly at optimizers.
-    """
-    arr = _rho_array(rho)
-    volume = rho_volume(arr, q)
-    if volume <= 0.0 or not np.isfinite(volume):
-        raise ValueError("weights are not admissible: volume must be positive and finite")
-    length, _ = family.shortest(arr)
-    if length <= 0.0:
-        raise ValueError("a family curve has zero length under these weights")
-    return volume / length**q
 
 
 def incidence_matrix(curves: Sequence[CombCurve], piece_count: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from confdim.spectral import (
     IRREDUCIBLE,
     ConvergenceError,
     NonNegMatrix,
-    block_spectra,
     decompose,
     perron,
     spectral_radius,
@@ -166,12 +165,6 @@ class CatalogReport:
     levy_flag: bool
 
 
-@dataclass(frozen=True)
-class IrreducibleCore:
-    indices: tuple[int, ...]
-    leading_lambda: float
-
-
 def lattes_spec() -> MulticurveSpec:
     """The degree-4 torus-quotient model: one curve, two degree-2 components.
 
@@ -278,16 +271,6 @@ def detect_levy_cycles(spec: MulticurveSpec) -> list[tuple[int, ...]]:
         for blk, kind in zip(dec.blocks, dec.kinds)
         if kind == IRREDUCIBLE
     )
-
-
-def contains_irreducible(spec: MulticurveSpec) -> bool:
-    """Whether some sub-multicurve has an irreducible transition block.
-
-    The support of the transition matrix does not depend on Q, so the check
-    runs once at Q = 1.
-    """
-    dec = decompose(transition_matrix(spec, 1.0))
-    return any(kind == IRREDUCIBLE for kind in dec.kinds)
 
 
 class _Block:
@@ -415,46 +398,3 @@ def q_of_map(catalog: Sequence[MulticurveSpec], tol: float = 1e-10) -> CatalogRe
     overall = max(finite + zero + [0.0])
     levy_flag = any(r.kind == LEVY_OBSTRUCTED for r in results)
     return CatalogReport(results=results, overall=overall, levy_flag=levy_flag)
-
-
-def restrict_spec(spec: MulticurveSpec, indices: Sequence[int]) -> MulticurveSpec:
-    """Restrict a spec to a subset of its curves.
-
-    Kept curves retain all their components; components homotopic to dropped
-    curves are reclassified as inessential, so fiber-degree sums (and any
-    declared map_degree) are preserved.
-    """
-    keep = sorted(set(indices))
-    if not keep:
-        raise ValueError("cannot restrict to an empty curve set")
-    for i in keep:
-        if not 0 <= i < spec.size:
-            raise ValueError(f"curve index {i} out of range")
-    kept_labels = {spec.curves[i] for i in keep}
-
-    def demote(comp: PreimageComponent) -> PreimageComponent:
-        c = comp.classification
-        if isinstance(c, Essential) and c.curve not in kept_labels:
-            return PreimageComponent(degree=comp.degree, classification=INESSENTIAL)
-        return comp
-
-    curves = tuple(spec.curves[i] for i in keep)
-    preimages = {
-        spec.curves[i]: tuple(demote(comp) for comp in spec.preimages[i]) for i in keep
-    }
-    return MulticurveSpec(curves=curves, preimages=preimages, map_degree=spec.map_degree)
-
-
-def irreducible_core(spec: MulticurveSpec, q: float, tol: float = 1e-10) -> IrreducibleCore:
-    """Curve indices of a leading irreducible block and that block's eigenvalue.
-
-    Restricting the spec to these indices keeps the leading eigenvalue of the
-    full matrix (within solver tolerance): the leading block of the support
-    decomposition realizes the spectral radius.
-    """
-    if not contains_irreducible(spec):
-        raise ValueError("spec has no irreducible sub-multicurve")
-    dec, spectra = block_spectra(transition_matrix(spec, q), tol)
-    radii = [p.lam for p in spectra]
-    best = int(np.argmax(radii))
-    return IrreducibleCore(indices=tuple(dec.blocks[best]), leading_lambda=radii[best])

@@ -1,9 +1,9 @@
 """Perron-Frobenius machinery for non-negative square matrices.
 
 Everything downstream (critical exponents, growth bounds) reduces to spectral
-data of non-negative matrices: the spectral radius, a non-negative eigenvector
-for it, and the block upper-triangular structure coming from the strongly
-connected components of the support digraph.
+data of non-negative matrices: the spectral radius, the Perron vectors of an
+irreducible block, and the block upper-triangular structure coming from the
+strongly connected components of the support digraph.
 
 The algorithmic choices are elementary and every number is certified:
 
@@ -17,13 +17,8 @@ The algorithmic choices are elementary and every number is certified:
   shift sits just above the current upper bound, until the Collatz-Wielandt
   bracket of the right and left vectors is narrower than a relative
   tolerance.  It returns the radius, its bracket and both vectors.
-* ``block_spectra`` applies ``perron`` to every diagonal block of a
-  decomposition; ``spectral_radius`` and ``leading_block`` read the block
-  radii off it.
-* ``pf_eigenvector`` builds a non-negative eigenvector even in the reducible
-  case: pick a leading block none of whose ancestors is also leading, take its
-  positive eigenvector, and extend over the ancestor blocks by solving the
-  (invertible, inverse-non-negative) system ``(lam*I - A_T) v_T = R v_b``.
+* ``spectral_radius`` applies ``perron`` to every diagonal block of the
+  decomposition and takes the largest block radius.
 """
 
 from __future__ import annotations
@@ -209,20 +204,6 @@ def decompose(a) -> Decomposition:
     return Decomposition(order=order, blocks=blocks, kinds=tuple(kinds))
 
 
-def is_irreducible(a) -> bool:
-    """True iff the support digraph is strongly connected.
-
-    By convention a 1x1 zero matrix is not irreducible, while a 1x1 matrix
-    with a positive entry is.
-    """
-    m = _as_matrix(a)
-    if m.dim == 1:
-        return bool(m.entries[0, 0] > 0)
-    return len(_tarjan_sccs(_support_adjacency(m.entries))) == 1
-
-
-
-
 @dataclass(frozen=True, eq=False)
 class Perron:
     """Certified Perron data of one irreducible block.
@@ -317,18 +298,6 @@ def perron(
     )
 
 
-def block_spectra(
-    a, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATIONS
-) -> tuple[Decomposition, list[Perron]]:
-    """The decomposition of ``a`` and the Perron data of each diagonal block.
-
-    Zero blocks are 1x1, so their radius is read off exactly as 0.
-    """
-    m = _as_matrix(a)
-    dec = decompose(m)
-    return dec, [perron(m.entries[np.ix_(blk, blk)], tol, max_iter) for blk in dec.blocks]
-
-
 def spectral_radius(a, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATIONS) -> float:
     """Spectral radius of a non-negative matrix, to relative tolerance ``tol``.
 
@@ -338,108 +307,6 @@ def spectral_radius(a, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERA
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return max(p.lam for p in block_spectra(a, tol, max_iter)[1])
-
-
-def leading_block(a, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATIONS) -> int:
-    """Index (into ``decompose(a).blocks``) of a block attaining the radius.
-
-    Ties within relative ``tol`` are broken by the smallest block index.
-    """
-    radii = [p.lam for p in block_spectra(a, tol, max_iter)[1]]
-    top = max(radii)
-    return next(b for b, r in enumerate(radii) if r >= top * (1.0 - tol))
-
-
-def _ancestors(succs: list[set[int]], target: int) -> set[int]:
-    """Blocks with a directed condensation path into ``target``."""
-    k = len(succs)
-    preds: list[list[int]] = [[] for _ in range(k)]
-    for b, outs in enumerate(succs):
-        for w in outs:
-            preds[w].append(b)
-    seen: set[int] = set()
-    frontier = [target]
-    while frontier:
-        v = frontier.pop()
-        for p in preds[v]:
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return seen
-
-
-def _condensation_succs(m: NonNegMatrix, dec: Decomposition) -> list[set[int]]:
-    comp_of = {}
-    for b, blk in enumerate(dec.blocks):
-        for v in blk:
-            comp_of[v] = b
-    succs: list[set[int]] = [set() for _ in dec.blocks]
-    rows, cols = np.nonzero(m.entries > 0)
-    for v, w in zip(rows, cols):
-        bv, bw = comp_of[v], comp_of[w]
-        if bv != bw:
-            succs[bv].add(bw)
-    return succs
-
-
-def pf_eigenvector(a, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATIONS) -> np.ndarray:
-    """Non-negative eigenvector for the spectral radius, normalized to unit sum.
-
-    Satisfies ``max|A v - lam v| <= tol`` with ``lam = spectral_radius(a)``.
-    When the matrix is irreducible all entries are strictly positive. In the
-    reducible case the support sits on a leading block and its ancestors,
-    which is the only support pattern a non-negative eigenvector can have.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = _as_matrix(a)
-    entries = m.entries
-    n = m.dim
-    # Tighter per-block tolerance so the assembled residual meets tol.
-    inner = min(tol, DEFAULT_TOL) / 4.0
-    dec, spectra = block_spectra(m, inner, max_iter)
-    radii = [p.lam for p in spectra]
-    lam = max(radii)
-
-    if lam == 0.0:
-        # Nilpotent support: any index whose column is zero gives A e_j = 0.
-        for j in range(n):
-            if not np.any(entries[:, j] > 0):
-                v = np.zeros(n)
-                v[j] = 1.0
-                return v
-        raise ConvergenceError("no zero column in a nilpotent matrix; input corrupt")
-
-    succs = _condensation_succs(m, dec)
-    candidates = [b for b, r in enumerate(radii) if r >= lam * (1.0 - 2.0 * inner)]
-    chosen = None
-    for b in candidates:
-        anc = _ancestors(succs, b)
-        if not any(other in anc for other in candidates if other != b):
-            chosen = b
-            break
-    if chosen is None:  # candidate cycle cannot happen in a DAG; keep a fallback
-        chosen = candidates[0]
-
-    block_idx = list(dec.blocks[chosen])
-    vb = spectra[chosen].v
-
-    v = np.zeros(n)
-    v[block_idx] = vb
-    ancestor_idx = sorted(i for b in _ancestors(succs, chosen) for i in dec.blocks[b])
-    if ancestor_idx:
-        at = entries[np.ix_(ancestor_idx, ancestor_idx)]
-        r = entries[np.ix_(ancestor_idx, block_idx)]
-        vt = np.linalg.solve(lam * np.eye(len(ancestor_idx)) - at, r @ vb)
-        v[ancestor_idx] = np.maximum(vt, 0.0)
-
-    v /= v.sum()
-    # Check against a fraction of tol: lam itself is only known to inner/2,
-    # so the residual against the exact radius can be slightly larger.
-    residual = float(np.max(np.abs(entries @ v - lam * v)))
-    if residual > 0.75 * tol:
-        raise ConvergenceError(
-            f"assembled eigenvector residual {residual:.3e} exceeds tol={tol}"
-        )
-    return v
+    blocks = decompose(m).blocks
+    return max(perron(m.entries[np.ix_(b, b)], tol, max_iter).lam for b in blocks)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -228,6 +229,20 @@ class TestModulus:
         with pytest.raises(SystemExit):
             run(["modulus", "--input", ring_cover_file, "--q", "2", "--q-grid", "2:3:1"])
 
+    def test_over_cap_annulus_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CONFDIM_MAX_CELLS", raising=False)
+        path = write_json(
+            tmp_path / "huge.json",
+            {
+                "schema_version": 1,
+                "family": {"oracle": "annulus", "circumference": 400, "height": 400},
+            },
+        )
+        started = time.perf_counter()
+        assert run(["modulus", "--input", path, "--q", "2"]) == 2
+        assert time.perf_counter() - started < 2.0
+        assert "CONFDIM_MAX_CELLS" in capsys.readouterr().err
+
     def test_convergence_failure_exits_4(self, ring_cover_file, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise ConvergenceError("stalled")
@@ -330,6 +345,11 @@ class TestVerify:
         monkeypatch.setenv("CONFDIM_MAX_CELLS", "100")
         assert run(["verify", "growth-check", "--levels", "1"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_pack_check_over_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("CONFDIM_MAX_CELLS", raising=False)
+        assert run(["verify", "pack-check", "--levels", "9"]) == 2
+        assert "CONFDIM_MAX_CELLS" in capsys.readouterr().err
 
     def test_verify_reruns_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -3,31 +3,28 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
+from confdim import covers
 from confdim.covers import (
     CoverDynamics,
-    Disk,
     EmbeddedCover,
-    Square,
     annulus_modulus,
     cyclic_cover,
     essential_cycle_family,
-    essential_cycle_oracle,
     grid_annulus,
-    induced_cover,
     lattes_model,
     quasipacking_check,
     refine,
-    roundness,
     verify_covering_scaling,
     verify_growth_bound,
 )
-from confdim.modulus import CombCurve, rho_length
+from confdim.modulus import rho_length
 from confdim.multicurve import lattes_spec
 
 
@@ -44,29 +41,6 @@ class TestEmbeddedCover:
     def test_grid_annulus_counts(self):
         cover = grid_annulus(4, 2)
         assert cover.piece_count == 8
-        assert all(len(cover.neighbors(p)) <= 8 for p in range(8))
-
-    def test_triangle_ring_neighbors(self):
-        cover = grid_annulus(3, 1)
-        for p in range(3):
-            assert cover.neighbors(p) == tuple(sorted(set(range(3)) - {p}))
-
-    def test_adjacency_symmetric(self):
-        cover = grid_annulus(7, 3)
-        for p in range(cover.piece_count):
-            for n in cover.neighbors(p):
-                assert p in cover.neighbors(n)
-
-    def test_corner_contact_counts_as_adjacent(self):
-        cover = grid_annulus(5, 2)
-        # (0, 0) and (1, 1) share only a corner
-        assert cover.cell_index(1, 1) in cover.neighbors(cover.cell_index(0, 0))
-
-    def test_seam_adjacency_wraps(self):
-        cover = grid_annulus(6, 2)
-        west = cover.cell_index(0, 0)
-        assert cover.cell_index(5, 0) in cover.neighbors(west)
-        assert cover.cell_index(5, 1) in cover.neighbors(west)
 
     def test_cell_index_roundtrip(self):
         cover = grid_annulus(5, 3)
@@ -74,6 +48,18 @@ class TestEmbeddedCover:
             col, row = cover.cell_at(piece)
             assert cover.cell_index(col, row) == piece
         assert cover.cell_index(-1, 0) == cover.cell_index(4, 0)
+
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.delenv("CONFDIM_MAX_CELLS", raising=False)
+        with pytest.raises(ValueError, match="CONFDIM_MAX_CELLS"):
+            grid_annulus(400, 400)
+        with pytest.raises(ValueError, match="CONFDIM_MAX_CELLS"):
+            refine(grid_annulus(4, 2), 128)
+        with pytest.raises(ValueError, match="CONFDIM_MAX_CELLS"):
+            cyclic_cover(grid_annulus(100, 100), 11)
+        monkeypatch.setenv("CONFDIM_MAX_CELLS", "200000")
+        assert grid_annulus(400, 400).piece_count == 160000
+        assert refine(grid_annulus(4, 2), 128).piece_count == 131072
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,34 +113,14 @@ class TestCyclicCover:
         with pytest.raises(ValueError):
             cyclic_cover(grid_annulus(4, 2), 0)
 
-    def test_induced_cover_lifts_rings(self):
-        base = grid_annulus(4, 1)
-        covmap = cyclic_cover(base, 2)
-        cover, lifted = induced_cover(covmap, [CombCurve(ring(base, 0))])
-        assert cover.piece_count == 8
-        assert len(lifted) == 1
-        assert set(lifted[0].incidence) == set(range(8))
-
-    def test_lifted_curve_is_essential_upstairs(self):
-        base = grid_annulus(3, 1)
-        covmap = cyclic_cover(base, 2)
-        _, lifted = induced_cover(covmap, [CombCurve({0, 1, 2})])
-        mask = sum(1 << i for i in lifted[0].incidence)
-        assert mask in oracles.essential_masks(6, 1)
-
-    def test_lift_scales_curve_length(self):
-        base = grid_annulus(5, 2)
-        curve = CombCurve(ring(base, 1))
-        for d in (1, 2, 3):
-            covmap = cyclic_cover(base, d)
-            _, lifted = induced_cover(covmap, [curve])
-            assert len(lifted[0].incidence) == d * len(curve.incidence)
+def shortest_cycle(annulus: EmbeddedCover, rho):
+    return essential_cycle_family(annulus).shortest(rho)[1]
 
 
 class TestEssentialCycleOracle:
     def test_unit_weights_need_one_cell_per_column(self):
         annulus = grid_annulus(5, 3)
-        curve = essential_cycle_oracle(annulus, np.ones(15))
+        curve = shortest_cycle(annulus, np.ones(15))
         cells = sorted(curve.incidence)
         assert len(cells) == 5
         assert {cell % 5 for cell in cells} == set(range(5))
@@ -163,14 +129,14 @@ class TestEssentialCycleOracle:
     def test_row_gradient_prefers_bottom_ring(self):
         annulus = grid_annulus(4, 3)
         rho = np.array([1.0 + (p // 4) for p in range(12)])
-        curve = essential_cycle_oracle(annulus, rho)
+        curve = shortest_cycle(annulus, rho)
         assert set(curve.incidence) == ring(annulus, 0)
 
     def test_zeroed_ring_is_free(self):
         annulus = grid_annulus(6, 2)
         rho = np.ones(12)
         rho[list(ring(annulus, 1))] = 0.0
-        curve = essential_cycle_oracle(annulus, rho)
+        curve = shortest_cycle(annulus, rho)
         assert set(curve.incidence) == ring(annulus, 1)
         assert rho_length(rho, curve) == pytest.approx(0.0, abs=1e-12)
 
@@ -184,23 +150,23 @@ class TestEssentialCycleOracle:
         }
         rho = np.full(8, 10.0)
         rho[list(cheap)] = 0.1
-        curve = essential_cycle_oracle(annulus, rho)
+        curve = shortest_cycle(annulus, rho)
+        assert set(curve.incidence) == cheap
+        # a staircase whose last cell meets the first only at a corner across the seam
+        annulus = grid_annulus(6, 3)
+        cheap = {annulus.cell_index(col, row) for col, row in enumerate((1, 2, 2, 1, 0, 0))}
+        rho = np.full(18, 10.0)
+        rho[list(cheap)] = 0.1
+        curve = shortest_cycle(annulus, rho)
         assert set(curve.incidence) == cheap
 
     def test_deterministic(self):
         annulus = grid_annulus(6, 2)
         rng = np.random.default_rng(89)
         rho = rng.uniform(0.0, 1.0, size=12)
-        first = essential_cycle_oracle(annulus, rho)
-        second = essential_cycle_oracle(annulus, rho)
+        first = shortest_cycle(annulus, rho)
+        second = shortest_cycle(annulus, rho)
         assert set(first.incidence) == set(second.incidence)
-
-    def test_validation(self):
-        annulus = grid_annulus(4, 2)
-        with pytest.raises(ValueError):
-            essential_cycle_oracle(annulus, np.ones(7))
-        with pytest.raises(ValueError):
-            essential_cycle_oracle(annulus, -np.ones(8))
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(83)
@@ -216,7 +182,7 @@ class TestEssentialCycleOracle:
             for _ in range(50):
                 rho = rng.uniform(0.0, 1.0, size=c * h)
                 rho[rng.uniform(size=c * h) < 0.2] = 0.0
-                curve = essential_cycle_oracle(annulus, rho)
+                curve = shortest_cycle(annulus, rho)
                 mask = sum(1 << i for i in curve.incidence)
                 assert mask in oracles.essential_masks(c, h)
                 found = rho_length(rho, curve)
@@ -396,48 +362,27 @@ class TestGrowthBound:
         assert report.rows[0].max_scaling_rel_error == 0.0
         assert report.rows[1].max_scaling_rel_error <= 1e-6
 
+    def test_one_solve_per_annulus_shape(self, model, monkeypatch):
+        dynamics, spec = model
+        solved = Counter()
+        real = covers.annulus_modulus
+
+        def counting(annulus, q, **kwargs):
+            solved[(annulus.cols, annulus.rows)] += 1
+            return real(annulus, q, **kwargs)
+
+        monkeypatch.setattr(covers, "annulus_modulus", counting)
+        report = verify_growth_bound(dynamics, spec, 2.0, n_max=2)
+        assert report.ok
+        assert sum(row.annuli_count for row in report.rows) == 7
+        assert solved == {(16, 4): 1, (32, 4): 1, (64, 4): 1}
+
     def test_validation(self, model):
         dynamics, spec = model
         with pytest.raises(ValueError):
             verify_growth_bound(dynamics, spec, 1.0, n_max=1)
         with pytest.raises(ValueError):
             verify_growth_bound(dynamics, spec, 2.0, n_max=3)
-
-
-class TestRoundness:
-    def test_square_center(self):
-        assert roundness(Square(side=1.0), (0.5, 0.5)) == pytest.approx(math.sqrt(2.0))
-
-    def test_square_off_center(self):
-        value = roundness(Square(side=1.0), (0.25, 0.5))
-        assert value == pytest.approx(math.hypot(0.75, 0.5) / 0.25)
-
-    def test_square_scale_invariance(self):
-        assert roundness(Square(side=2.0, corner=(1.0, 1.0)), (2.0, 2.0)) == pytest.approx(
-            math.sqrt(2.0)
-        )
-
-    def test_disk_center(self):
-        assert roundness(Disk(center=(0.0, 0.0), radius=3.0), (0.0, 0.0)) == pytest.approx(1.0)
-
-    def test_disk_off_center(self):
-        assert roundness(Disk(center=(0.0, 0.0), radius=2.0), (1.0, 0.0)) == pytest.approx(3.0)
-
-    def test_rejects_boundary_and_exterior(self):
-        with pytest.raises(ValueError):
-            roundness(Square(side=1.0), (0.0, 0.5))
-        with pytest.raises(ValueError):
-            roundness(Square(side=1.0), (1.5, 0.5))
-        with pytest.raises(ValueError):
-            roundness(Disk(center=(0.0, 0.0), radius=1.0), (1.0, 0.0))
-
-    def test_rejects_degenerate_pieces(self):
-        with pytest.raises(ValueError):
-            Square(side=0.0)
-        with pytest.raises(ValueError):
-            Disk(center=(0.0, 0.0), radius=-1.0)
-        with pytest.raises(TypeError):
-            roundness("square", (0.5, 0.5))
 
 
 class TestQuasipacking:
@@ -476,3 +421,19 @@ class TestQuasipacking:
             quasipacking_check([])
         with pytest.raises(ValueError):
             quasipacking_check([(0.0, 0.0, -1.0)])
+
+    def test_refined_grid_at_scale(self):
+        cover = refine(grid_annulus(4, 2), 64)
+        assert cover.piece_count == 32768
+        started = time.perf_counter()
+        result = quasipacking_check(cover)
+        assert time.perf_counter() - started < 1.0
+        assert result.ok
+        assert result.constant == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    def test_one_far_overlap_among_many(self):
+        cells = [(x + 0.5, y + 0.5, 1.0) for y in range(100) for x in range(100)]
+        assert quasipacking_check(cells).ok
+        cells[0] = (-5.0, -5.0, 1.0)
+        cells[-1] = (-5.0, -4.5, 1.0)
+        assert not quasipacking_check(cells).ok

@@ -12,14 +12,11 @@ from confdim.multicurve import (
     Essential,
     MulticurveSpec,
     PreimageComponent,
-    contains_irreducible,
     detect_levy_cycles,
-    irreducible_core,
     lattes_spec,
     leading_eigenvalue,
     q_of_map,
     q_of_multicurve,
-    restrict_spec,
     transition_matrix,
 )
 from confdim.suites import random_levyfree_spec
@@ -191,18 +188,20 @@ class TestDetectLevyCycles:
 
 
 class TestContainsIrreducible:
+    """A spec without an irreducible sub-multicurve solves to the zero kind."""
+
     def test_lattes(self):
-        assert contains_irreducible(lattes_spec())
+        assert q_of_multicurve(lattes_spec()).kind == "finite"
 
     def test_all_peripheral(self):
-        assert not contains_irreducible(ALL_PERIPHERAL)
+        assert q_of_multicurve(ALL_PERIPHERAL).kind == "zero"
 
     def test_one_way_chain(self):
         spec = MulticurveSpec(
             curves=("g1", "g2"),
             preimages={"g1": (essential(2, "g2"),), "g2": ()},
         )
-        assert not contains_irreducible(spec)
+        assert q_of_multicurve(spec).kind == "zero"
 
 
 class TestQOfMulticurve:
@@ -293,39 +292,12 @@ class TestQOfMap:
             q_of_map([])
 
 
-class TestRestrictSpec:
-    def test_demotes_outside_components(self):
-        spec = MulticurveSpec(
-            curves=("a", "b"),
-            preimages={"a": (essential(2, "a"), essential(3, "b")), "b": (essential(2, "a"),)},
-        )
-        sub = restrict_spec(spec, [0])
-        assert sub.curves == ("a",)
-        kinds = [c.classification for c in sub.components_of("a")]
-        assert kinds == [Essential("a"), "inessential"]
-
-    def test_preserves_map_degree(self):
-        spec = MulticurveSpec(
-            curves=("a", "b"),
-            preimages={
-                "a": (essential(2, "a"), essential(2, "b")),
-                "b": (essential(4, "b"),),
-            },
-            map_degree=4,
-        )
-        sub = restrict_spec(spec, [0])
-        assert sub.map_degree == 4
-
-    def test_rejects_empty_selection(self):
-        with pytest.raises(ValueError):
-            restrict_spec(lattes_spec(), [])
-
-
 class TestIrreducibleCore:
+    """The irreducible block of largest radius sets lambda and the exponent."""
+
     def test_irreducible_spec_keeps_everything(self):
-        core = irreducible_core(SWAP_DEG2, 2.0)
-        assert core.indices == (0, 1)
-        assert core.leading_lambda == pytest.approx(0.5, abs=1e-10)
+        assert leading_eigenvalue(SWAP_DEG2, 2.0) == pytest.approx(0.5, abs=1e-10)
+        assert q_of_multicurve(SWAP_DEG2).q == 1.0
 
     def test_union_with_one_way_chain(self):
         comp = essential(2, "core")
@@ -333,9 +305,8 @@ class TestIrreducibleCore:
             curves=("core", "tail"),
             preimages={"core": (comp, comp), "tail": (essential(2, "core"),)},
         )
-        core = irreducible_core(spec, 2.0)
-        assert core.indices == (0,)
-        assert core.leading_lambda == pytest.approx(1.0, abs=1e-10)
+        assert leading_eigenvalue(spec, 2.0) == pytest.approx(1.0, abs=1e-10)
+        assert q_of_multicurve(spec).q == pytest.approx(2.0, abs=1e-9)
 
     def test_picks_block_with_larger_eigenvalue(self):
         spec = MulticurveSpec(
@@ -345,23 +316,8 @@ class TestIrreducibleCore:
                 "b": (essential(3, "b"), essential(3, "b")),
             },
         )
-        core = irreducible_core(spec, 1.5)
-        assert core.indices == (0,)
-        assert core.leading_lambda == pytest.approx(2.0 ** 0.5, abs=1e-10)
-
-    def test_restriction_keeps_the_eigenvalue(self):
-        rng = np.random.default_rng(47)
-        for _ in range(10):
-            spec = random_levyfree_spec(rng)
-            q = float(rng.uniform(1.0, 4.0))
-            core = irreducible_core(spec, q, tol=1e-10)
-            sub = restrict_spec(spec, core.indices)
-            full = leading_eigenvalue(spec, q)
-            assert leading_eigenvalue(sub, q) == pytest.approx(full, abs=2e-10)
-
-    def test_rejects_spec_without_irreducible_part(self):
-        with pytest.raises(ValueError):
-            irreducible_core(ALL_PERIPHERAL, 2.0)
+        assert leading_eigenvalue(spec, 1.5) == pytest.approx(2.0 ** 0.5, abs=1e-10)
+        assert q_of_multicurve(spec).q == pytest.approx(2.0, abs=1e-9)
 
 
 def cycle_spec(ks, extras=()):

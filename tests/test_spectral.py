@@ -5,10 +5,7 @@ from confdim.spectral import (
     DENSE_EIG_MAX,
     NonNegMatrix,
     decompose,
-    is_irreducible,
-    leading_block,
     perron,
-    pf_eigenvector,
     spectral_radius,
 )
 from oracles import all_2x2_small, charpoly_radius
@@ -177,18 +174,26 @@ class TestPerron:
         assert spectral_radius(a) == pytest.approx((1.0 + 1e-10) ** (1.0 / 3.0), rel=1e-14)
 
 
+def is_irreducible(a):
+    """Irreducibility read off the decomposition: one block, not a zero one."""
+    return decompose(a).kinds == ("irreducible",)
+
+
 class TestIsIrreducible:
+    """Irreducibility as ``decompose`` reports it in ``kinds``."""
+
     def test_two_cycle(self):
         assert is_irreducible([[0.0, 1.0], [1.0, 0.0]])
 
     def test_no_return_path(self):
         assert not is_irreducible([[0.0, 1.0], [0.0, 0.0]])
+        assert decompose([[0.0, 1.0], [0.0, 0.0]]).kinds == ("zero", "zero")
 
     def test_positive_scalar(self):
         assert is_irreducible([[1.0]])
 
     def test_zero_scalar(self):
-        assert not is_irreducible([[0.0]])
+        assert decompose([[0.0]]).kinds == ("zero",)
 
     def test_permutation_cycles(self):
         rng = np.random.default_rng(17)
@@ -221,7 +226,9 @@ def assert_valid_decomposition(a, dec):
         if kind == "zero":
             assert len(blk) == 1 and sub[0, 0] == 0.0
         else:
-            assert is_irreducible(sub)
+            # (I + support)^(k-1) is positive exactly when the support is strongly connected
+            reach = np.linalg.matrix_power(np.eye(len(blk)) + (sub > 0), len(blk) - 1)
+            assert np.all(reach > 0) and np.any(sub > 0)
 
 
 class TestDecompose:
@@ -250,38 +257,14 @@ class TestDecompose:
             assert_valid_decomposition(a, decompose(a))
 
 
-class TestLeadingBlock:
-    def test_irreducible_is_block_zero(self):
-        assert leading_block([[0.0, 1.0], [1.0, 0.0]]) == 0
-
-    def test_picks_larger_diagonal_block(self):
-        dec = decompose(np.diag([2.0, 3.0]))
-        b = leading_block(np.diag([2.0, 3.0]))
-        assert dec.blocks[b] == (1,)
-
-    def test_zero_matrix_tie_breaks_to_first(self):
-        assert leading_block(np.zeros((4, 4))) == 0
-
-
 class TestPFEigenvector:
+    """The Perron vectors of an irreducible block are its PF eigenvectors."""
+
     def test_all_ones(self):
-        v = pf_eigenvector([[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(v, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(perron([[1.0, 1.0], [1.0, 1.0]]).v, [0.5, 0.5], atol=1e-12)
 
     def test_antidiagonal(self):
-        v = pf_eigenvector([[0.0, 2.0], [2.0, 0.0]])
-        np.testing.assert_allclose(v, [0.5, 0.5], atol=1e-12)
-
-    def test_identity_residual_only(self):
-        v = pf_eigenvector(np.eye(3))
-        assert v.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(v >= 0.0)
-        assert np.max(np.abs(np.eye(3) @ v - v)) <= 1e-12
-
-    def test_nilpotent(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        v = pf_eigenvector(a)
-        assert np.max(np.abs(a @ v)) <= 1e-12
+        np.testing.assert_allclose(perron([[0.0, 2.0], [2.0, 0.0]]).v, [0.5, 0.5], atol=1e-12)
 
     def test_irreducible_gives_positive_vector(self):
         rng = np.random.default_rng(23)
@@ -293,23 +276,7 @@ class TestPFEigenvector:
             extra = random_nonneg(rng, dim, density=0.3)
             a = a + extra  # cycle keeps it irreducible
             lam = spectral_radius(a)
-            v = pf_eigenvector(a)
+            v = perron(a).v
             assert np.all(v > 0.0)
             assert v.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(a @ v - lam * v)) <= 1e-12
-
-    def test_reducible_residual_and_sign(self):
-        """Sparse random matrices: the residual bound holds with v >= 0."""
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            dim = int(rng.integers(1, 10))
-            a = random_nonneg(rng, dim, density=0.25)
-            lam = spectral_radius(a)
-            v = pf_eigenvector(a)
-            assert np.all(v >= 0.0)
-            assert v.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(a @ v - lam * v)) <= 1e-12
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            pf_eigenvector(np.eye(2), tol=-1.0)
