@@ -15,20 +15,23 @@ Beurling criterion: Q rho_s^(Q-1) must be a non-negative combination of the
 indicator vectors of minimal-length curves.
 
 The solver works on the dual.  With multipliers lam >= 0 per curve and
-u = A^T lam the per-piece totals, stationarity gives rho = (u/Q)^(1/(Q-1))
-and the dual objective
-
-    g(lam) = sum(lam) - (Q-1) * sum_s (u_s/Q)^(Q/(Q-1)),
-
-a smooth concave function maximized over the non-negative orthant by a
-projected Newton method (projection onto lam >= 0 is a clamp, which is the
-reason for preferring the dual over the primal polyhedron).  Families too
-large to enumerate are handled by constraint generation against a
-separation oracle that returns a shortest curve for given weights.
+u = A^T lam the per-piece totals, stationarity gives rho = (u/Q)^(1/(Q-1)),
+and the optimum is the lam >= 0 at which every curve with lam > 0 has
+length exactly 1 and no curve is shorter.  One active-set loop finds it
+(Lawson and Hanson, *Solving Least Squares Problems*, ch. 23): Newton's
+method on the lengths of a working set of curves, a curve dropped when
+its multiplier reaches 0, and the curves shorter than 1 added each round,
+warm from the previous multipliers.  Explicit families first lose every
+curve that contains another one, whose constraint is then implied.
+Families too large to enumerate give one curve a round through a
+separation oracle (the constraint generation of Albin, Brunner, Perez,
+Poggi-Corradini and Wiens, Conform. Geom. Dyn. 2015).  Q = 1 is a linear
+program over the same rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -38,15 +41,6 @@ from scipy.optimize import linprog, nnls
 from confdim.spectral import ConvergenceError
 
 Weights = Union["WeightVector", np.ndarray, Sequence[float]]
-
-_MAX_NEWTON_STEPS = 300
-
-#: KKT violation below which line-search failures switch to raw Newton steps
-_POLISH_VIOL = 1e-6
-
-#: consecutive non-improving iterations before the best iterate is returned
-_STALE_LIMIT = 15
-
 
 @dataclass(frozen=True)
 class Cover:
@@ -203,99 +197,71 @@ def incidence_matrix(curves: Sequence[CombCurve], piece_count: int) -> np.ndarra
     return inc
 
 
-def _dual_value(lam: np.ndarray, u: np.ndarray, q: float) -> float:
-    return float(lam.sum() - (q - 1.0) * np.sum((u / q) ** (q / (q - 1.0))))
+def _start_scale(u: np.ndarray, rows: np.ndarray, w: np.ndarray, q: float) -> float:
+    """The scale s at which the longest row under the totals u + s rows^T w is 1.
 
-
-def _kkt_violation(lam: np.ndarray, grad: np.ndarray) -> float:
-    viol = float(np.max(grad))
-    pos = lam > 0.0
-    if pos.any():
-        viol = max(viol, float(np.max(-grad[pos])))
-    return max(viol, 0.0)
-
-
-def _armijo(inc, q, lam, grad, step, g0, tries=60):
-    """Backtracking line search on the projected ray max(lam + t*step, 0)."""
-    t = 1.0
-    for _ in range(tries):
-        cand = np.maximum(lam + t * step, 0.0)
-        moved = cand - lam
-        dd = float(grad @ moved)
-        if dd > 0.0:
-            g1 = _dual_value(cand, inc.T @ cand, q)
-            if g1 >= g0 + 1e-4 * dd:
-                return cand, True
-        t *= 0.5
-    return lam, False
-
-
-def _solve_dual(
-    inc: np.ndarray, q: float, kkt_tol: float, lam0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize the concave dual over lam >= 0 by projected Newton steps.
-
-    Returns the primal weights rho(lam) and the multipliers.  Convergence is
-    declared on the KKT residual: no curve length below 1 (dual gradient
-    positive) and stationarity on the support of lam.
-
-    Near the optimum the per-step value gains drop below the rounding noise
-    of the dual value, so the line search goes blind while the gradient is
-    still accurate; once the violation is small, steps are taken without it
-    and the best iterate seen wins.
+    Every log length is convex in log s (linear from u = 0): Newton on those.
     """
-    exp_rho = 1.0 / (q - 1.0)
-    lam = np.maximum(np.asarray(lam0, dtype=float), 0.0)
-    best_viol, best = np.inf, None
-    stale = 0
-    for _ in range(_MAX_NEWTON_STEPS):
-        u = inc.T @ lam
-        rho = (u / q) ** exp_rho
-        grad = 1.0 - inc @ rho
-        viol = _kkt_violation(lam, grad)
-        if viol < best_viol:
-            best_viol, best, stale = viol, (rho, lam.copy()), 0
-        else:
-            stale += 1
-        if viol <= kkt_tol:
-            return rho, lam
-        if stale >= _STALE_LIMIT:
+    e = 1.0 / (q - 1.0)
+    push = rows.T @ w
+    s = 1.0
+    for _ in range(100):
+        cur = (u + s * push) / q
+        lengths = rows @ cur**e
+        i = int(np.argmax(lengths))
+        if abs(math.log(lengths[i])) <= 1e-12:
             break
-        g0 = _dual_value(lam, u, q)
-        free = (lam > 0.0) | (grad > 0.0)
+        on = (rows[i] > 0.0) & (push > 0.0)
+        slope = s * e * float(np.sum(cur[on] ** (e - 1.0) * push[on])) / (q * lengths[i])
+        s *= math.exp(-math.log(lengths[i]) / slope)
+    return s
 
-        # Curvature of the dual: d rho / d u, clamped near u = 0 where the
-        # second derivative blows up for Q > 2.  The clamp only shapes the
-        # Newton direction; gradients stay exact.
-        u_floor = 1e-12 * max(float(u.max()), 1.0)
-        slope = (exp_rho / q) * (np.maximum(u, u_floor) / q) ** (exp_rho - 1.0)
-        sub = inc[free]
-        hess = (sub * slope) @ sub.T
-        ridge = 1e-12 * max(float(np.trace(hess)) / hess.shape[0], 1e-30)
-        hess[np.diag_indices_from(hess)] += ridge
-        try:
-            newton = np.linalg.solve(hess, grad[free])
-        except np.linalg.LinAlgError:
-            newton = grad[free]
-        step = np.zeros(lam.size)
-        step[free] = newton
 
-        lam_next, ok = _armijo(inc, q, lam, grad, step, g0)
-        if not ok:
-            # fall back to the projected gradient ray before declaring a stall
-            lam_next, ok = _armijo(inc, q, lam, grad, grad.copy(), g0)
-        if not ok:
-            if viol > _POLISH_VIOL:
-                break
-            # value comparisons are noise-limited here; trust the direction
-            lam_next = np.maximum(lam + step, 0.0)
-        lam = lam_next
+def _newton(rows: np.ndarray, lam: np.ndarray, q: float, kkt_tol: float):
+    """Solve rows rho(rows^T lam) = 1 for lam on a working set of curves.
 
-    if best is not None and best_viol <= 50.0 * kkt_tol:
-        return best
-    raise ConvergenceError(
-        f"dual solver stalled with KKT violation {best_viol:.3e} (target {kkt_tol:.1e})"
-    )
+    Newton's method on F(lam) = 1 - A rho(A^T lam), whose Jacobian is minus
+    A diag(rho') A^T, with backtracking on |F|^2.  A step that would send a
+    multiplier to 0 or below stops at 0 and removes that curve (Lawson and
+    Hanson).  Returns the kept rows and multipliers.
+    """
+    e = 1.0 / (q - 1.0)
+    for _ in range(300):
+        u = rows.T @ lam
+        resid = 1.0 - rows @ (u / q) ** e
+        if np.all(np.abs(resid) <= kkt_tol):
+            return rows, lam
+        with np.errstate(divide="ignore"):
+            slope = np.where(u > 0.0, (e / q) * (u / q) ** (e - 1.0), 0.0)
+        # The Jacobian scaled by sqrt(lam) on both sides has entries below e
+        # times a length, however small a multiplier or steep rho' gets.
+        # Dependent rows, or multipliers too small to tell apart, make it
+        # singular; the ridge turns that into a long step along the null
+        # direction, which the ratio test below cuts at a zero.
+        root = np.sqrt(lam)
+        half = rows * np.sqrt(slope) * root[:, None]
+        scaled = half @ half.T
+        scaled.flat[:: lam.size + 1] += 1e-14 * float(scaled.max())
+        step = root * np.linalg.solve(scaled, root * resid)
+        # Backtracking starts at the first zero of a multiplier, if the step
+        # reaches one; that trial drops the curve and its own residual.
+        neg = np.flatnonzero(step < 0.0)
+        ratios = -lam[neg] / step[neg]
+        t, keep = 1.0, np.ones(lam.size, dtype=bool)
+        if ratios.size and ratios.min() < 1.0:
+            t = float(ratios.min())
+            keep[neg[np.argmin(ratios)]] = False
+        with np.errstate(over="ignore"):
+            while True:
+                trial = np.where(keep, np.maximum(lam + t * step, 0.0), 0.0)
+                r = (1.0 - rows @ (rows.T @ trial / q) ** e)[keep]
+                if t <= 1e-12 or r @ r <= (1.0 - 1e-4 * t) * (resid[keep] @ resid[keep]):
+                    break
+                t, keep[:] = 0.5 * t, True
+        keep &= trial > 0.0
+        rows, lam = rows[keep], trial[keep]
+    worst = np.max(np.abs(resid))
+    raise ConvergenceError(f"Newton stalled at length residual {worst:.3e} (target {kkt_tol:.1e})")
 
 
 def _solve_lp(inc: np.ndarray) -> np.ndarray:
@@ -310,7 +276,7 @@ def _solve_lp(inc: np.ndarray) -> np.ndarray:
     )
     if not res.success:
         raise ConvergenceError(f"length-constrained linear program failed: {res.message}")
-    return np.asarray(res.x, dtype=float)
+    return np.maximum(np.asarray(res.x, dtype=float), 0.0)
 
 
 def _initial_multipliers(init: str, count: int) -> np.ndarray:
@@ -321,13 +287,24 @@ def _initial_multipliers(init: str, count: int) -> np.ndarray:
     raise ValueError(f"unknown initialization {init!r}; use 'uniform' or 'staggered'")
 
 
+def _minimal_rows(inc: np.ndarray) -> np.ndarray:
+    """Rows of the curves that contain no other curve (one copy of each).
+
+    With rho >= 0 a curve is no shorter than any curve it contains, so its
+    constraint is implied and the optimum stays the same.
+    """
+    sizes = inc.sum(axis=1)
+    contains = (inc @ inc.T == sizes) & ~np.eye(len(inc), dtype=bool)
+    contains &= (sizes[:, None] > sizes) | np.tri(len(inc), k=-1, dtype=bool)
+    return inc[~contains.any(axis=1)]
+
+
 def modulus(
     cover: Cover,
     family: CurveFamily,
     q: float,
     tol: float = 1e-8,
     init: str = "uniform",
-    max_rounds: Optional[int] = None,
 ) -> ModulusResult:
     """Combinatorial Q-modulus of a curve family on a finite cover.
 
@@ -336,56 +313,77 @@ def modulus(
     Beurling certificate is attached (recomputed from the weights alone, not
     copied out of the solver); Q = 1 returns the value with no certificate.
 
-    Oracle families are solved by constraint generation: solve with the
-    curves collected so far, ask the oracle for a shortest curve, and stop
-    once nothing shorter than 1 - tol/(2Q) exists.
+    Each round solves on the working set and adds the curves shorter than
+    1 - 2e-2 tol (clipped to [2e-12, 2e-10]; tol/2 at Q = 1): all of them
+    for an explicit family, the oracle's shortest for an oracle family.
+    ``init`` sets the weights of the first oracle query and the starting
+    multipliers of curves added together.
     """
     if q < 1.0:
         raise ValueError(f"modulus exponent must satisfy Q >= 1, got {q}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = cover.piece_count
-    if max_rounds is None:
-        max_rounds = n + 100
-
     kkt_tol = max(min(tol * 1e-2, 1e-10), 1e-12)
-    sep_tol = tol / (2.0 * q)
+    # Twice the Newton target, so rounding cannot bring back a working
+    # curve; the LP at Q = 1 is only as accurate as its feasibility tolerance.
+    short = tol / 2.0 if q == 1.0 else 2.0 * kkt_tol
 
     if family.is_explicit:
-        working = list(family.curves)
+        new = pool = incidence_matrix(family.curves, n)
+        if q > 1.0:
+            new = pool = _minimal_rows(pool)
     else:
-        working = [family.shortest(np.ones(n))[1]]
-    seen = {c.incidence for c in working}
+        first = family.shortest(_initial_multipliers(init, n))[1]
+        seen = {first.incidence: first}  # the oracle's curves, for the certificate
+        new = incidence_matrix([first], n)
+    rows, lam = np.zeros((0, n)), np.zeros(0)
 
-    rounds = 0
-    while True:
-        inc = incidence_matrix(working, n)
+    for _ in range(n + 100):
         if q == 1.0:
-            rho = _solve_lp(inc)
+            rows = np.vstack([rows, new])
+            rho = _solve_lp(rows)
         else:
-            rho, _ = _solve_dual(inc, q, kkt_tol, _initial_multipliers(init, len(working)))
+            # New curves join together if the grown rows stay independent, the
+            # shortest alone otherwise, at the scale where the longest is 1.
+            grown = np.vstack([rows, new])
+            if len(new) > 1 and np.linalg.matrix_rank(grown) < len(grown):
+                new = new[:1]
+                grown = grown[: len(rows) + 1]
+            w = _initial_multipliers(init, len(new))
+            lam = np.concatenate([lam, _start_scale(rows.T @ lam, new, w, q) * w])
+            rows, lam = _newton(grown, lam, q, kkt_tol)
+            rho = (rows.T @ lam / q) ** (1.0 / (q - 1.0))
         if family.is_explicit:
-            break
-        length, candidate = family.shortest(rho)
-        if length >= 1.0 - sep_tol:
-            break
-        rounds += 1
-        if rounds >= max_rounds:
-            raise ConvergenceError(
-                f"constraint generation did not close after {rounds} rounds "
-                f"(shortest length {length:.6g})"
-            )
-        if candidate.incidence in seen:
-            raise ConvergenceError(
-                "separation oracle returned an already-enforced curve of length "
-                f"{length:.6g}; the inner solve is inconsistent with the oracle"
-            )
-        seen.add(candidate.incidence)
-        working.append(candidate)
+            if q == 1.0:
+                break
+            lengths = pool @ rho
+            below = lengths < 1.0 - short
+            if not below.any():
+                break
+            new = pool[below][np.argsort(lengths[below], kind="stable")]
+            length = float(lengths.min())
+        else:
+            length, candidate = family.shortest(rho)
+            if length >= 1.0 - short:
+                break
+            new = incidence_matrix([candidate], n)
+            if (rows == new).all(axis=1).any():
+                raise ConvergenceError(
+                    "separation oracle returned an already-enforced curve of length "
+                    f"{length:.6g}; the inner solve is inconsistent with the oracle"
+                )
+            seen.setdefault(candidate.incidence, candidate)
+    else:
+        raise ConvergenceError(
+            f"constraint generation did not close after {n + 100} rounds "
+            f"(shortest length {length:.6g})"
+        )
 
     # Normalize by the true minimal length over the whole family, so the
     # reported weights are exactly feasible and the value is their volume.
-    min_length, _ = family.shortest(rho)
+    # The oracle's last answer already is that length.
+    min_length = family.shortest(rho)[0] if family.is_explicit else length
     if min_length <= 0.0:
         raise ConvergenceError("solver returned weights with a zero-length curve")
     rho = rho / min_length
@@ -393,7 +391,8 @@ def modulus(
 
     certificate = None
     if q > 1.0:
-        certificate = beurling_check(cover, working, rho, q, tol=max(tol, 1e-8))
+        curves = family.curves if family.is_explicit else list(seen.values())
+        certificate = beurling_check(cover, curves, rho, q, tol=max(tol, 1e-8))
     return ModulusResult(
         value=value,
         optimizer=WeightVector(rho),

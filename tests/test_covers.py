@@ -24,7 +24,7 @@ from confdim.covers import (
     verify_covering_scaling,
     verify_growth_bound,
 )
-from confdim.modulus import rho_length
+from confdim.modulus import modulus, rho_length
 from confdim.multicurve import lattes_spec
 
 
@@ -217,6 +217,17 @@ class TestAnnulusModulus:
     def test_needs_q_above_one(self):
         with pytest.raises(ValueError):
             annulus_modulus(grid_annulus(4, 2), 1.0)
+
+    def test_exponent_one_through_the_oracle(self):
+        """The linear program's weights reach the oracle clipped at 0.
+
+        Its solver returns entries like -1e-12, and a negative edge weight
+        made the seam-strip shortest-path search abort the interpreter.
+        """
+        annulus = grid_annulus(8, 8)
+        result = modulus(annulus.as_cover(), essential_cycle_family(annulus), 1.0)
+        assert result.value == pytest.approx(8.0, rel=1e-9)
+        assert np.all(result.optimizer.rho >= 0.0)
 
 
 class TestCoveringScaling:

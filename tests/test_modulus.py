@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import confdim
+from confdim.covers import annulus_modulus, grid_annulus
 from confdim.modulus import (
     BeurlingCertificate,
     CombCurve,
@@ -9,6 +15,7 @@ from confdim.modulus import (
     WeightVector,
     beurling_check,
     explicit_family,
+    incidence_matrix,
     modulus,
     rho_length,
     rho_volume,
@@ -298,3 +305,119 @@ class TestSubadditivity:
         cover = Cover(piece_count=4)
         with pytest.raises(ValueError):
             verify_subadditivity(cover, [], 2.0)
+
+
+def duality_gap(result, piece_count, q):
+    """Relative gap between the value and the weak-duality bound of the certificate.
+
+    The certificate's multipliers mu on its active curves give the dual value
+    g(mu) = sum(mu) - (Q-1) sum_s (u_s/Q)^(Q/(Q-1)), u = A^T mu, which is at
+    most the modulus whatever mu >= 0 is.
+    """
+    cert = result.certificate
+    u = incidence_matrix(cert.active_curves, piece_count).T @ cert.multipliers
+    dual = cert.multipliers.sum() - (q - 1.0) * np.sum((u / q) ** (q / (q - 1.0)))
+    return (result.value - dual) / result.value
+
+
+#: 5 pieces, 16 curves; pieces 1, 2 and 3 are curves by themselves, so the
+#: optimum is 3 at rho = (0, 1, 1, 1, 0) for every Q > 1
+FIVE_PIECE_FAMILY = (
+    (0, 1, 2, 3, 4), (2, 3, 4), (0, 2, 3, 4), (1,), (0, 1, 3), (3,), (1, 2, 3, 4), (0, 3),
+    (0, 3, 4), (0, 1, 2, 4), (0, 1, 3, 4), (2,), (0, 1, 4), (0, 1, 2, 3), (1, 2, 4), (0, 2, 3),
+)
+
+#: seeded explicit families: draws 2, 7, ..., 136 of this loop stalled the
+#: projected-Newton dual solver that the active-set loop replaced
+CATALOG_SEED = 20070709
+STALLED_DRAWS = (
+    2, 7, 10, 11, 25, 27, 46, 48, 51, 59, 68, 75, 83, 91, 101, 102, 105, 111, 118, 126, 129, 136
+)
+
+
+def catalog_draws(count=142):
+    rng = np.random.default_rng(CATALOG_SEED)
+    draws = []
+    while len(draws) < count:
+        pieces = int(rng.integers(20, 81))
+        family = random_family(rng, pieces, max_curves=int(rng.integers(10, 101)), max_size=10)
+        q = (1.0, 1.5, 2.0, 3.0)[int(rng.integers(0, 4))]
+        if len(family.curves) >= 10:
+            draws.append((family, pieces, q))
+    return draws
+
+
+class TestFormerStalls:
+    def test_five_piece_family(self):
+        curves = [CombCurve(c) for c in FIVE_PIECE_FAMILY]
+        for q in (1.5, 2.0, 3.0):
+            res = modulus(Cover(5), explicit_family(curves), q)
+            assert res.value == pytest.approx(3.0, rel=1e-9)
+            np.testing.assert_allclose(res.optimizer.rho, [0, 1, 1, 1, 0], atol=1e-9)
+            assert res.certificate.ok
+            assert res.value == pytest.approx(brute_modulus(5, curves, q), rel=1e-4)
+
+    def test_stalled_catalog_draws(self):
+        draws = catalog_draws()
+        for index in STALLED_DRAWS:
+            family, pieces, q = draws[index]
+            res = modulus(Cover(pieces), family, q)
+            assert res.certificate.ok, index
+            assert duality_gap(res, pieces, q) <= 1e-6, index
+
+    @pytest.mark.parametrize("cols,rows,q", [(12, 12, 1.5), (16, 16, 3.0), (24, 6, 3.0)])
+    def test_stalled_annuli(self, cols, rows, q):
+        res = annulus_modulus(grid_annulus(cols, rows), q)
+        assert res.value == pytest.approx(rows * cols ** (1.0 - q), rel=1e-6)
+        assert res.certificate.ok
+
+    def test_one_blas_thread(self):
+        """12x12 at Q=3 and 16x16 at Q=1.5 stalled the old solver with one BLAS thread."""
+        script = (
+            "from confdim.covers import annulus_modulus, grid_annulus\n"
+            "for c, h, q in ((12, 12, 3.0), (16, 16, 1.5)):\n"
+            "    res = annulus_modulus(grid_annulus(c, h), q)\n"
+            "    assert res.certificate.ok, (c, h, q)\n"
+            "    assert abs(res.value / (h * c ** (1.0 - q)) - 1.0) <= 1e-6, (c, h, q)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(confdim.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src_dir)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+
+
+class TestWorkingSet:
+    def test_curve_in_the_span_of_the_working_set(self):
+        """An oracle offers {1, 4} = {1, 3, 4} - {3} while those are working.
+
+        The Newton matrix of the grown set is singular; its first step must
+        swap a curve out, not stall.
+        """
+        family = explicit_family(
+            curve(*c) for c in [(0,), (1, 4), (0, 4), (3,), (0, 2, 3), (0, 2), (1, 3, 4)]
+        )
+        oracle = CurveFamily(oracle=lambda rho: family.shortest(rho)[1])
+        res = modulus(Cover(5), oracle, 1.5)
+        assert res.value == pytest.approx(2.0 + 2.0**-0.5, rel=1e-9)
+        np.testing.assert_allclose(res.optimizer.rho, [1, 0.5, 0, 1, 0.5], atol=1e-9)
+        assert beurling_check(Cover(5), family.curves, res.optimizer, 1.5).ok
+
+
+class TestRandomFamilies:
+    QS = (1.05, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+
+    def test_seeded_draws_solve_with_a_closed_gap(self):
+        """400 draws of 3-80 pieces, 1-120 curves of 1-10 pieces, at Q from 1.05 to 6."""
+        rng = np.random.default_rng(7)
+        for draw in range(400):
+            pieces = int(rng.integers(3, 81))
+            family = random_family(
+                rng, pieces, max_curves=int(rng.integers(1, 121)),
+                max_size=int(rng.integers(1, 11)),
+            )
+            q = self.QS[int(rng.integers(len(self.QS)))]
+            res = modulus(Cover(pieces), family, q)
+            assert res.certificate.ok, (draw, q)
+            assert duality_gap(res, pieces, q) <= 1e-6, (draw, q)
