@@ -7,8 +7,9 @@ records closed-cell intersections, so corner contacts count as adjacency.
 
 On top of the grids:
 
-* a separation oracle returning a minimal-weight essential cycle, by cutting
-  the cylinder along a seam and running shortest paths between seam copies;
+* a separation oracle offering the minimal-weight essential cycle through
+  each seam row, by cutting the cylinder along a seam and running shortest
+  paths between seam copies;
 * cyclic covers, with the degree-scaling check for moduli;
 * the degree-4 torus-quotient model (pillowcase dynamics), whose level-n
   curve preimages carry marked annulus neighborhoods, feeding the growth
@@ -174,52 +175,63 @@ class _SeamStrip:
                             continue
                         tails.append(u)
                         heads.append(rr * width + xx)
-        self._tails = np.asarray(tails, dtype=np.int64)
-        self._heads = np.asarray(heads, dtype=np.int64)
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        # The CSR structure is fixed; each query refills only its data, in
+        # the order scipy gives the edges (recorded by numbering them 1..m).
+        self._graph = csr_matrix(
+            (np.arange(1.0, len(tails) + 1.0), (tails, heads)),
+            shape=(self.node_count, self.node_count),
+        )
+        order = self._graph.data.astype(np.int64) - 1
         # cylinder cell paying for arrival at each strip node
         cells = np.empty(self.node_count, dtype=np.int64)
         for r in range(h):
             for x in range(width):
                 cells[r * width + x] = r * c + (x % c)
-        self._cell_of_node = cells
-        self._arrival_cell = cells[self._heads]
-        self._into_sink = (self._heads % width) == c
+        self._cell_of_node = cells.tolist()
+        self._arrival_cell = cells[heads[order]]
+        self._into_sink = (heads[order] % width) == c
 
-    def shortest_essential(self, rho: np.ndarray) -> CombCurve:
+    def essential_cycles(self, rho: np.ndarray) -> tuple[CombCurve, ...]:
+        """The shortest cycle through each seam row, shortest first.
+
+        Ordered by (length, seam row) with repeats dropped, so the first is
+        a minimal-weight essential cycle at its lowest seam row.
+        """
         weights = rho[self._arrival_cell] + _EDGE_FLOOR
         weights[self._into_sink] = _EDGE_FLOOR
-        graph = csr_matrix(
-            (weights, (self._tails, self._heads)),
-            shape=(self.node_count, self.node_count),
-        )
+        self._graph.data[:] = weights
         dist, pred = dijkstra(
-            graph, directed=True, indices=self.sources, return_predecessors=True
+            self._graph, directed=True, indices=self.sources, return_predecessors=True
         )
-        best_row, best_total = -1, np.inf
-        for r in range(self.h):
-            total = dist[r, self.sinks[r]] + rho[r * self.c]
-            if total < best_total:
-                best_row, best_total = r, float(total)
-        if best_row < 0 or not np.isfinite(best_total):
+        totals = dist[np.arange(self.h), self.sinks] + rho[:: self.c]
+        if not np.isfinite(totals).all():
             raise RuntimeError("cylinder strip became disconnected; construction bug")
 
-        cells = set()
-        node = self.sinks[best_row]
-        while node >= 0:
-            cells.add(int(self._cell_of_node[node]))
-            node = int(pred[best_row, node])
-        return CombCurve(cells)
+        pred = pred.tolist()
+        cycles: dict[frozenset[int], CombCurve] = {}
+        for r in np.argsort(totals, kind="stable"):
+            cells, back, node = [], pred[r], self.sinks[r]
+            while node >= 0:
+                cells.append(self._cell_of_node[node])
+                node = back[node]
+            curve = CombCurve(cells)
+            cycles.setdefault(curve.incidence, curve)
+        return tuple(cycles.values())
 
 
 def essential_cycle_family(annulus: EmbeddedCover) -> CurveFamily:
     """The family of essential cycles of the cylinder, as a separation oracle.
 
-    The oracle returns a minimal-weight cycle winding once around, each piece
-    counted once however often a geometric representative revisits it.  Ties
-    break deterministically (lowest seam row, then the shortest-path tree's
-    choice).
+    The oracle offers, for each seam row, a minimal-weight cycle winding
+    once around through that row, each piece counted once however often a
+    geometric representative revisits it; repeats are dropped and the rest
+    come shortest first.  Ties break deterministically (lowest seam row,
+    then the shortest-path tree's choice), so the first is a minimal-weight
+    essential cycle at the lowest seam row that has one.
     """
-    return CurveFamily(oracle=_SeamStrip(annulus).shortest_essential)
+    return CurveFamily(oracle=_SeamStrip(annulus).essential_cycles)
 
 
 def annulus_modulus(

@@ -23,10 +23,12 @@ method on the lengths of a working set of curves, a curve dropped when
 its multiplier reaches 0, and the curves shorter than 1 added each round,
 warm from the previous multipliers.  Explicit families first lose every
 curve that contains another one, whose constraint is then implied.
-Families too large to enumerate give one curve a round through a
-separation oracle (the constraint generation of Albin, Brunner, Perez,
-Poggi-Corradini and Wiens, Conform. Geom. Dyn. 2015).  Q = 1 is a linear
-program over the same rounds.
+Families too large to enumerate come through a separation oracle (the
+constraint generation of Albin, Brunner, Perez, Poggi-Corradini and Wiens,
+Conform. Geom. Dyn. 2015) that offers curves shortest first; each round
+adds the offered curves shorter than 1 that are pairwise disjoint, so the
+rows added together are independent.  Q = 1 is a linear program over the
+same rounds.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ class CombCurve:
     incidence: frozenset[int]
 
     def __init__(self, incidence: Iterable[int]):
-        pieces = frozenset(int(i) for i in incidence)
+        pieces = frozenset(map(int, incidence))
         if not pieces:
             raise ValueError("a curve must meet at least one piece")
-        if any(i < 0 for i in pieces):
+        if min(pieces) < 0:
             raise ValueError("piece indices must be non-negative")
         object.__setattr__(self, "incidence", pieces)
 
@@ -77,11 +79,12 @@ class CurveFamily:
 
     The oracle form covers families too large to enumerate: given a weight
     array it must return a curve of minimal weighted length in the family,
+    or a sequence of curves, shortest first, that starts with such a curve;
     deterministically for fixed weights.
     """
 
     curves: Optional[tuple[CombCurve, ...]] = None
-    oracle: Optional[Callable[[np.ndarray], CombCurve]] = None
+    oracle: Optional[Callable[[np.ndarray], Union[CombCurve, Sequence[CombCurve]]]] = None
 
     def __post_init__(self):
         if (self.curves is None) == (self.oracle is None):
@@ -97,12 +100,22 @@ class CurveFamily:
         return self.curves is not None
 
     def shortest(self, rho: np.ndarray) -> tuple[float, CombCurve]:
-        """A minimal-length curve of the family under the given weights."""
+        """A minimal-length curve of the family under the given weights.
+
+        Ties in an explicit family go to the lowest sorted piece indices.
+        """
         if self.curves is not None:
-            best = min(self.curves, key=lambda c: (rho_length(rho, c), c.sorted_indices()))
-            return rho_length(rho, best), best
-        curve = self.oracle(np.asarray(rho, dtype=float))
+            lengths = [rho_length(rho, c) for c in self.curves]
+            least = min(lengths)
+            tied = (c for c, length in zip(self.curves, lengths) if length == least)
+            return least, min(tied, key=CombCurve.sorted_indices)
+        curve = self._offers(rho)[0]
         return rho_length(rho, curve), curve
+
+    def _offers(self, rho: np.ndarray) -> tuple[CombCurve, ...]:
+        """The oracle's curves for the given weights, shortest first."""
+        got = self.oracle(np.asarray(rho, dtype=float))
+        return (got,) if isinstance(got, CombCurve) else tuple(got)
 
 
 def explicit_family(curves: Iterable[CombCurve]) -> CurveFamily:
@@ -299,6 +312,34 @@ def _minimal_rows(inc: np.ndarray) -> np.ndarray:
     return inc[~contains.any(axis=1)]
 
 
+def _oracle_cuts(
+    offered: Sequence[CombCurve], rho: np.ndarray, rows: np.ndarray, short: float
+) -> np.ndarray:
+    """Rows of the offered curves that join the working set this round.
+
+    In the offered order, a curve joins when it is shorter than 1 - short,
+    not a working curve already, and disjoint from every curve taken before
+    it; the first offered curve, the shortest, always joins.  The rows taken
+    are pairwise disjoint, hence independent.
+    """
+    inc = incidence_matrix(offered, rho.size)
+    sizes = inc.sum(axis=1)
+    working = ((rows @ inc.T == sizes) & (rows.sum(axis=1)[:, None] == sizes)).any(axis=0)
+    if working[0]:
+        raise ConvergenceError(
+            "separation oracle returned an already-enforced curve of length "
+            f"{rho_length(rho, offered[0]):.6g}; the inner solve is inconsistent with the oracle"
+        )
+    lengths = inc @ rho
+    used = np.zeros(rho.size, dtype=bool)
+    taken = []
+    for i, row in enumerate(inc > 0.0):
+        if i == 0 or (lengths[i] < 1.0 - short and not working[i] and not used[row].any()):
+            used |= row
+            taken.append(i)
+    return inc[taken]
+
+
 def modulus(
     cover: Cover,
     family: CurveFamily,
@@ -315,9 +356,12 @@ def modulus(
 
     Each round solves on the working set and adds the curves shorter than
     1 - 2e-2 tol (clipped to [2e-12, 2e-10]; tol/2 at Q = 1): all of them
-    for an explicit family, the oracle's shortest for an oracle family.
-    ``init`` sets the weights of the first oracle query and the starting
-    multipliers of curves added together.
+    for an explicit family; for an oracle family the oracle's shortest and,
+    in its order, every other offered curve disjoint from those taken
+    before it.  The certificate of an oracle family is checked against the
+    final working set and the oracle's last answer.  ``init`` sets the
+    weights of the first oracle query and the starting multipliers of
+    curves added together.
     """
     if q < 1.0:
         raise ValueError(f"modulus exponent must satisfy Q >= 1, got {q}")
@@ -329,25 +373,25 @@ def modulus(
     # curve; the LP at Q = 1 is only as accurate as its feasibility tolerance.
     short = tol / 2.0 if q == 1.0 else 2.0 * kkt_tol
 
+    rows, lam = np.zeros((0, n)), np.zeros(0)
     if family.is_explicit:
         new = pool = incidence_matrix(family.curves, n)
         if q > 1.0:
             new = pool = _minimal_rows(pool)
     else:
-        first = family.shortest(_initial_multipliers(init, n))[1]
-        seen = {first.incidence: first}  # the oracle's curves, for the certificate
-        new = incidence_matrix([first], n)
-    rows, lam = np.zeros((0, n)), np.zeros(0)
+        # With no working curve every weight is 0 and every curve too short.
+        new = _oracle_cuts(family._offers(_initial_multipliers(init, n)), np.zeros(n), rows, short)
 
     for _ in range(n + 100):
         if q == 1.0:
             rows = np.vstack([rows, new])
             rho = _solve_lp(rows)
         else:
-            # New curves join together if the grown rows stay independent, the
-            # shortest alone otherwise, at the scale where the longest is 1.
+            # New explicit curves join together if the grown rows stay
+            # independent, the shortest alone otherwise; oracle cuts are
+            # disjoint.  They start at the scale where the longest is 1.
             grown = np.vstack([rows, new])
-            if len(new) > 1 and np.linalg.matrix_rank(grown) < len(grown):
+            if family.is_explicit and len(new) > 1 and np.linalg.matrix_rank(grown) < len(grown):
                 new = new[:1]
                 grown = grown[: len(rows) + 1]
             w = _initial_multipliers(init, len(new))
@@ -364,16 +408,11 @@ def modulus(
             new = pool[below][np.argsort(lengths[below], kind="stable")]
             length = float(lengths.min())
         else:
-            length, candidate = family.shortest(rho)
+            offered = family._offers(rho)
+            length = rho_length(rho, offered[0])
             if length >= 1.0 - short:
                 break
-            new = incidence_matrix([candidate], n)
-            if (rows == new).all(axis=1).any():
-                raise ConvergenceError(
-                    "separation oracle returned an already-enforced curve of length "
-                    f"{length:.6g}; the inner solve is inconsistent with the oracle"
-                )
-            seen.setdefault(candidate.incidence, candidate)
+            new = _oracle_cuts(offered, rho, rows, short)
     else:
         raise ConvergenceError(
             f"constraint generation did not close after {n + 100} rounds "
@@ -391,7 +430,13 @@ def modulus(
 
     certificate = None
     if q > 1.0:
-        curves = family.curves if family.is_explicit else list(seen.values())
+        if family.is_explicit:
+            curves = family.curves
+        else:
+            # The working set and the oracle's last, shortest answer: fewer
+            # curves than the family, at the same minimal length.
+            working = (CombCurve(np.flatnonzero(row)) for row in rows)
+            curves = list({c.incidence: c for c in (*working, offered[0])}.values())
         certificate = beurling_check(cover, curves, rho, q, tol=max(tol, 1e-8))
     return ModulusResult(
         value=value,

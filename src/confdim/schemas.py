@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from confdim.covers import essential_cycle_family, grid_annulus
+from confdim.covers import _cell_cap, essential_cycle_family, grid_annulus
 from confdim.modulus import CombCurve, Cover, CurveFamily, explicit_family
 from confdim.multicurve import (
     INESSENTIAL,
@@ -171,6 +171,7 @@ def parse_cover_family(data, where: str = "$") -> tuple[Cover, CurveFamily]:
         if "pieces" not in obj:
             raise SchemaError(f"{where}.pieces", "missing required field")
         pieces = _as_int(obj["pieces"], f"{where}.pieces", minimum=1)
+        _cell_cap(pieces, "an explicit cover")
         curves_raw = obj.get("curves")
         if not isinstance(curves_raw, list) or not curves_raw:
             raise SchemaError(f"{where}.curves", "expected a non-empty list of curves")

@@ -243,6 +243,18 @@ class TestModulus:
         assert time.perf_counter() - started < 2.0
         assert "CONFDIM_MAX_CELLS" in capsys.readouterr().err
 
+    def test_over_cap_explicit_cover_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A million pieces used to allocate a dense curves x pieces matrix."""
+        monkeypatch.delenv("CONFDIM_MAX_CELLS", raising=False)
+        path = write_json(
+            tmp_path / "huge.json",
+            {"schema_version": 1, "pieces": 1000000, "curves": [[0, 1], [2, 3], [4]]},
+        )
+        assert run(["modulus", "--input", path, "--q", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "an explicit cover needs 1000000 cells, over the cap of 100000" in err
+        assert "CONFDIM_MAX_CELLS" in err
+
     def test_convergence_failure_exits_4(self, ring_cover_file, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise ConvergenceError("stalled")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from collections import Counter
@@ -190,6 +191,91 @@ class TestEssentialCycleOracle:
                 assert found == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
+def exhaustive_grids_with_weights(seed, draws):
+    """Every grid the exhaustive oracle covers, with seeded weights.
+
+    Odd draws are uniform with a fifth of the cells zero; even draws take
+    the values 0, 1 and 2, so that many cycles tie.
+    """
+    rng = np.random.default_rng(seed)
+    for c in range(3, 13):
+        for h in range(1, 12 // c + 1):
+            for draw in range(draws):
+                if draw % 2:
+                    rho = rng.uniform(0.0, 1.0, size=c * h)
+                    rho[rng.uniform(size=c * h) < 0.2] = 0.0
+                else:
+                    rho = rng.integers(0, 3, size=c * h).astype(float)
+                yield grid_annulus(c, h), rho
+
+
+#: sha256 of the first offered curves on exhaustive_grids_with_weights(97, 20),
+#: as the one-curve oracle returned them before it offered one per seam row
+SINGLE_ANSWER_DIGEST = "1a28a877e253fcd015d1dd13df93b1321533953a95142018897203029d10aed1"
+
+
+class TestOracleContract:
+    """The oracle offers one shortest cycle per seam row, shortest first."""
+
+    def test_offers_on_every_exhaustive_grid(self):
+        firsts = []
+        for annulus, rho in exhaustive_grids_with_weights(97, 20):
+            c, h = annulus.cols, annulus.rows
+            oracle = essential_cycle_family(annulus).oracle
+            offered = oracle(rho)
+            assert 1 <= len(offered) <= h
+            assert len({curve.incidence for curve in offered}) == len(offered)
+            for curve in offered:
+                assert sum(1 << i for i in curve.incidence) in oracles.essential_masks(c, h)
+            best = oracles.exhaustive_min_essential(c, h, rho)
+            assert rho_length(rho, offered[0]) == pytest.approx(best, rel=1e-12, abs=1e-12)
+            assert oracle(rho) == offered
+            firsts.append(offered[0].sorted_indices())
+        digest = hashlib.sha256(repr(firsts).encode()).hexdigest()
+        assert digest == SINGLE_ANSWER_DIGEST
+
+
+def counted(family):
+    """The family with its oracle wrapped to count calls; returns both."""
+    calls = [0]
+    oracle = family.oracle
+
+    def wrapped(rho):
+        calls[0] += 1
+        return oracle(rho)
+
+    object.__setattr__(family, "oracle", wrapped)
+    return family, calls
+
+
+class TestModulusLoop:
+    @pytest.mark.parametrize("init", ["uniform", "staggered"])
+    def test_16x16_closes_in_few_oracle_calls(self, init):
+        annulus = grid_annulus(16, 16)
+        family, calls = counted(essential_cycle_family(annulus))
+        result = modulus(annulus.as_cover(), family, 2.0, init=init)
+        assert result.certificate.ok
+        assert result.value == pytest.approx(1.0, rel=1e-9)
+        assert calls[0] <= 120
+
+    def test_benchmark_grids(self):
+        for c, h in ((256, 4), (8, 8), (12, 12), (16, 16), (6, 24), (24, 6)):
+            for q in (1.5, 2.0, 3.0):
+                result = annulus_modulus(grid_annulus(c, h), q)
+                assert result.certificate.ok, (c, h, q)
+                assert result.value == pytest.approx(h * c ** (1.0 - q), rel=1e-9), (c, h, q)
+
+    def test_seeded_grids_and_exponents(self):
+        """Grids up to 24x24 at Q from 1.05 to 12, log-uniform."""
+        rng = np.random.default_rng(131)
+        for _ in range(16):
+            c, h = int(rng.integers(3, 25)), int(rng.integers(1, 25))
+            q = float(np.exp(rng.uniform(np.log(1.05), np.log(12.0))))
+            result = annulus_modulus(grid_annulus(c, h), q)
+            assert result.certificate.ok, (c, h, q)
+            assert result.value == pytest.approx(h * c ** (1.0 - q), rel=1e-8), (c, h, q)
+
+
 class TestAnnulusModulus:
     def test_square_cylinder_is_one(self):
         result = annulus_modulus(grid_annulus(4, 4), 2.0)
@@ -228,6 +314,12 @@ class TestAnnulusModulus:
         result = modulus(annulus.as_cover(), essential_cycle_family(annulus), 1.0)
         assert result.value == pytest.approx(8.0, rel=1e-9)
         assert np.all(result.optimizer.rho >= 0.0)
+
+    def test_exponent_one_on_12x12(self):
+        """One cut a round did not close in 244 rounds; disjoint batches do."""
+        annulus = grid_annulus(12, 12)
+        result = modulus(annulus.as_cover(), essential_cycle_family(annulus), 1.0)
+        assert abs(result.value - 12.0) <= 1e-9
 
 
 class TestCoveringScaling:

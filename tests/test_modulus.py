@@ -104,6 +104,27 @@ class TestLengthAndVolume:
             rho_volume(np.ones(3), 0.5)
 
 
+class TestShortest:
+    def test_tie_goes_to_lowest_sorted_indices(self):
+        family = explicit_family([curve(3, 1), curve(4), curve(0, 5), curve(2, 1)])
+        rho = np.array([0.5, 1.0, 1.5, 1.5, 2.5, 9.0])
+        length, best = family.shortest(rho)
+        assert length == 2.5
+        assert best.sorted_indices() == (1, 2)
+
+    def test_matches_a_sort_on_length_then_indices(self):
+        """Same curve and same length bits as ``min`` keyed on both, ties included."""
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            pieces = int(rng.integers(3, 30))
+            family = random_family(rng, pieces, max_curves=40, max_size=6)
+            rho = rng.integers(0, 3, size=pieces) * rng.choice([0.1, 1.0 / 3.0])
+            expected = min(family.curves, key=lambda c: (rho_length(rho, c), c.sorted_indices()))
+            length, best = family.shortest(rho)
+            assert best == expected
+            assert length == rho_length(rho, expected)
+
+
 class TestModulusClosedForms:
     def test_single_curve(self):
         cover, family = single_curve_instance(k=4, n=10)
