@@ -258,6 +258,23 @@ class TestModulusLoop:
         assert result.value == pytest.approx(1.0, rel=1e-9)
         assert calls[0] <= 120
 
+    def test_no_query_at_the_returned_weights(self):
+        """The loop's last answer gives the normalization and ``min_length``."""
+        annulus = grid_annulus(256, 4)
+        family = essential_cycle_family(annulus)
+        asked, oracle = [], family.oracle
+
+        def recording(rho):
+            asked.append(np.array(rho, copy=True))
+            return oracle(rho)
+
+        object.__setattr__(family, "oracle", recording)
+        result = modulus(annulus.as_cover(), family, 2.0)
+        assert result.value == pytest.approx(4.0 * 256.0**-1.0, rel=1e-9)
+        assert result.min_length == pytest.approx(1.0, rel=1e-12)
+        assert not any(np.array_equal(rho, result.optimizer.rho) for rho in asked)
+        assert len(asked) == 6
+
     def test_benchmark_grids(self):
         for c, h in ((256, 4), (8, 8), (12, 12), (16, 16), (6, 24), (24, 6)):
             for q in (1.5, 2.0, 3.0):

@@ -425,6 +425,30 @@ class TestWorkingSet:
         np.testing.assert_allclose(res.optimizer.rho, [1, 0.5, 0, 1, 0.5], atol=1e-9)
         assert beurling_check(Cover(5), family.curves, res.optimizer, 1.5).ok
 
+    def test_dependent_rows_in_one_batch(self):
+        """{0, 1} + {2, 3} = {0, 2} + {1, 3}: the first batch has dependent rows.
+
+        The optimum is 1/2 on every piece, with zero weight on {0, 4} in the
+        Beurling fit, so the value is 6 * 2^-Q.
+        """
+        family = explicit_family(
+            curve(*c) for c in [(0, 1), (2, 3), (0, 2), (1, 3), (4, 5), (0, 4), (1, 3, 5)]
+        )
+        for q in (1.5, 2.0, 3.0):
+            res = modulus(Cover(6), family, q)
+            assert res.value == pytest.approx(6.0 * 2.0**-q, rel=1e-9), q
+            assert res.certificate.ok, q
+
+
+def assert_closed_form_bracket(value, family, pieces, q):
+    """L^(1-Q) <= value <= n L^(-Q), L the fewest pieces on a curve, n the piece count.
+
+    The constant weight 1/L is admissible, and the family is at least as
+    large as one curve of L pieces, whose modulus is L^(1-Q).
+    """
+    fewest = min(len(c.incidence) for c in family.curves)
+    assert fewest ** (1.0 - q) * (1.0 - 1e-9) <= value <= pieces * fewest**-q * (1.0 + 1e-9)
+
 
 class TestRandomFamilies:
     QS = (1.05, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
@@ -442,3 +466,17 @@ class TestRandomFamilies:
             res = modulus(Cover(pieces), family, q)
             assert res.certificate.ok, (draw, q)
             assert duality_gap(res, pieces, q) <= 1e-6, (draw, q)
+            assert_closed_form_bracket(res.value, family, pieces, q)
+
+    def test_seeded_draws_at_the_ends_of_the_range_fall_in_the_bracket(self):
+        """400 draws as above at Q = 1 and Q = 12, where no duality gap is checked."""
+        rng = np.random.default_rng(17)
+        for draw in range(400):
+            pieces = int(rng.integers(3, 81))
+            family = random_family(
+                rng, pieces, max_curves=int(rng.integers(1, 121)),
+                max_size=int(rng.integers(1, 11)),
+            )
+            q = (1.0, 12.0)[draw % 2]
+            res = modulus(Cover(pieces), family, q)
+            assert_closed_form_bracket(res.value, family, pieces, q)
