@@ -18,7 +18,7 @@ On top of the grids:
 * the quasipacking check of a grid or of explicit square cells.
 
 The constructors refuse grids over a cell cap: 100000 cells unless
-``CONFDIM_MAX_CELLS`` (or ``max_cells=`` of ``lattes_model``) says otherwise.
+``CONFDIM_MAX_CELLS`` says otherwise.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ DEFAULT_MAX_CELLS = 100_000
 _EDGE_FLOOR = 1e-300
 
 
-def _cell_cap(cells: int, what: str, explicit: Optional[int] = None) -> None:
+def _cell_cap(cells: int, what: str) -> None:
     """Refuse to build ``what`` when its ``cells`` exceed the cell cap."""
-    raw = os.environ.get("CONFDIM_MAX_CELLS", "").strip()
-    cap = int(explicit if explicit is not None else raw or DEFAULT_MAX_CELLS)
+    cap = int(os.environ.get("CONFDIM_MAX_CELLS", "").strip() or DEFAULT_MAX_CELLS)
     if cells > cap:
         raise ValueError(
             f"{what} needs {cells} cells, over the cap of {cap} "
@@ -266,12 +265,11 @@ def verify_covering_scaling(
     d: int,
     q: float,
     tol: float = 1e-6,
-    modulus_tol: float = 1e-8,
 ) -> ScalingReport:
     """Check that a degree-d cyclic cover scales the modulus by d^(1-Q)."""
     covmap = cyclic_cover(annulus, d)
-    base = annulus_modulus(annulus, q, tol=modulus_tol).value
-    lifted = annulus_modulus(covmap.source, q, tol=modulus_tol).value
+    base = annulus_modulus(annulus, q).value
+    lifted = annulus_modulus(covmap.source, q).value
     expected = d ** (1.0 - q) * base
     rel = abs(lifted - expected) / abs(expected)
     return ScalingReport(
@@ -355,9 +353,7 @@ class CoverDynamics:
         return range(mark.row_start * cols, (mark.row_start + mark.rows) * cols)
 
 
-def lattes_model(
-    levels: int, max_cells: Optional[int] = None
-) -> tuple[CoverDynamics, MulticurveSpec]:
+def lattes_model(levels: int) -> tuple[CoverDynamics, MulticurveSpec]:
     """Pillowcase model of the degree-4 torus-quotient map, up to a level cap.
 
     The pillowcase is modeled as the flat cylinder of circumference 1 and
@@ -370,7 +366,7 @@ def lattes_model(
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    _cell_cap(128 * 4**levels, f"level {levels}", max_cells)
+    _cell_cap(128 * 4**levels, f"level {levels}")
 
     covers = tuple(
         EmbeddedCover(cols=16 * 2**n, rows=8 * 2**n, cell_side=1.0 / (16 * 2**n))
@@ -447,7 +443,6 @@ def verify_growth_bound(
     q: float,
     n_max: int,
     tol: float = 1e-6,
-    modulus_tol: float = 1e-8,
 ) -> GrowthBoundReport:
     """Per-level comparison of summed preimage-annuli moduli with matrix powers.
 
@@ -472,7 +467,7 @@ def verify_growth_bound(
             sub = dynamics.annulus_subcover(mark)
             shape = (sub.cols, sub.rows)
             if shape not in by_shape:
-                by_shape[shape] = annulus_modulus(sub, q, tol=modulus_tol).value
+                by_shape[shape] = annulus_modulus(sub, q).value
             values[(n, mark.index)] = by_shape[shape]
 
     base_vector = np.array([values[(0, mark.index)] for mark in dynamics.annuli[0]])

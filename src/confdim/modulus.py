@@ -151,7 +151,8 @@ class BeurlingCertificate:
 
     ``ok`` means: the minimal-length curves admit non-negative multipliers
     whose indicator combination reproduces Q rho^(Q-1) on every piece with
-    sup-norm residual at most the tolerance used.
+    sup-norm residual at most the tolerance used times the largest entry of
+    Q rho^(Q-1).
     """
 
     ok: bool
@@ -194,14 +195,11 @@ def rho_length(rho: Weights, curve: CombCurve) -> float:
     return float(sum(arr[i] for i in curve.incidence))
 
 
-def rho_volume(rho: Weights, q: float, piece_set: Optional[Iterable[int]] = None) -> float:
-    """Q-volume: the sum of rho^Q over a piece set (whole cover by default)."""
+def rho_volume(rho: Weights, q: float) -> float:
+    """Q-volume: the sum of rho^Q over the whole cover."""
     if q < 1.0:
         raise ValueError(f"volume exponent must satisfy Q >= 1, got {q}")
-    arr = _rho_array(rho)
-    if piece_set is None:
-        return float(np.sum(arr**q))
-    return float(sum(arr[i] ** q for i in piece_set))
+    return float(np.sum(_rho_array(rho) ** q))
 
 
 def incidence_matrix(curves: Sequence[CombCurve], piece_count: int) -> np.ndarray:
@@ -227,6 +225,8 @@ def _start_scale(u: np.ndarray, rows: np.ndarray, w: np.ndarray, q: float) -> fl
         cur = (u + s * push) / q
         lengths = rows @ cur**e
         i = int(np.argmax(lengths))
+        if not 0.0 < lengths[i] < math.inf:
+            raise ConvergenceError(f"row length {lengths[i]:.3e} at scale {s:.3e} is out of range")
         if abs(math.log(lengths[i])) <= 1e-12:
             break
         on = (rows[i] > 0.0) & (push > 0.0)
@@ -455,7 +455,9 @@ def beurling_check(
 
     Identifies the active curves (length within ``tol`` of minimal), fits
     non-negative multipliers by least squares on the cone, and succeeds when
-    Q rho^(Q-1) is reproduced with sup-norm residual at most ``tol``.
+    Q rho^(Q-1) is reproduced with sup-norm residual (``kkt_residual``) at
+    most ``tol`` times its largest entry, a test that reads the same at every
+    scale of the weights.
     Failure is a result, not an error: non-optimal weights are expected to
     land here with a large residual.
     """
@@ -478,7 +480,7 @@ def beurling_check(
     multipliers, _ = nnls(design, target)
     residual = float(np.max(np.abs(design @ multipliers - target)))
     return BeurlingCertificate(
-        ok=residual <= tol,
+        ok=residual <= tol * float(target.max()),
         active_curves=tuple(active),
         multipliers=multipliers,
         kkt_residual=residual,

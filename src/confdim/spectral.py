@@ -7,8 +7,9 @@ strongly connected components of the support digraph.
 
 The algorithmic choices are elementary and every number is certified:
 
-* ``decompose`` condenses the support digraph into strongly connected
-  components and orders them so the permuted matrix is block upper-triangular.
+* ``decompose`` finds the strongly connected components of the support
+  digraph in one pass of Tarjan's algorithm over the reversed digraph, whose
+  emission order puts the permuted matrix in block upper-triangular form.
   Each diagonal block is either irreducible or a 1x1 zero block.
 * ``perron`` is the one routine for the spectrum of an irreducible block.
   It starts from the Perron vectors of a dense ``eig`` on small blocks, or
@@ -23,7 +24,6 @@ The algorithmic choices are elementary and every number is certified:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,13 +80,12 @@ class NonNegMatrix:
 class Decomposition:
     """Irreducible decomposition of a non-negative matrix.
 
-    ``blocks`` partitions the index set; permuting rows and columns by
-    ``order`` (the concatenation of the blocks) puts the matrix in block
-    upper-triangular form.  ``kinds[b]`` is ``"irreducible"`` or ``"zero"``
-    (the latter only for 1x1 blocks with a zero diagonal entry).
+    ``blocks`` partitions the index set; permuting rows and columns by the
+    concatenation of the blocks puts the matrix in block upper-triangular
+    form.  ``kinds[b]`` is ``"irreducible"`` or ``"zero"`` (the latter only
+    for 1x1 blocks with a zero diagonal entry).
     """
 
-    order: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
     kinds: tuple[str, ...]
 
@@ -98,9 +97,9 @@ def _as_matrix(a) -> NonNegMatrix:
 
 
 def _support_adjacency(entries: np.ndarray) -> list[list[int]]:
-    """Adjacency lists of the support digraph: edge i -> j iff A[i, j] > 0."""
+    """Adjacency lists of the reversed support digraph: edge j -> i iff A[i, j] > 0."""
     n = entries.shape[0]
-    return [np.nonzero(entries[i] > 0)[0].tolist() for i in range(n)]
+    return [np.nonzero(entries[:, j] > 0)[0].tolist() for j in range(n)]
 
 
 def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
@@ -156,52 +155,20 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
 def decompose(a) -> Decomposition:
     """Condense the support digraph into ordered diagonal blocks.
 
-    Blocks are listed in a topological order of the condensation (edges go
-    from earlier blocks to later ones), so the permuted matrix is block
-    upper-triangular.  Among valid topological orders we take the canonical
-    one that greedily picks the available block containing the smallest index.
+    Blocks are listed in the order Tarjan's algorithm emits the strongly
+    connected components of the reversed support digraph, from roots taken
+    in ascending index.  Tarjan emits a component only after every component
+    it reaches, which in the reversed digraph are those that reach it in the
+    original; so edges go from earlier blocks to later ones, and the permuted
+    matrix is block upper-triangular.
     """
     m = _as_matrix(a)
-    adj = _support_adjacency(m.entries)
-    sccs = _tarjan_sccs(adj)
-
-    comp_of = [0] * m.dim
-    for b, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = b
-
-    # Condensation edges and in-degrees, then Kahn with a min-heap keyed by
-    # the smallest vertex of each block for a deterministic order.
-    k = len(sccs)
-    succs: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
-    for v in range(m.dim):
-        for w in adj[v]:
-            bv, bw = comp_of[v], comp_of[w]
-            if bv != bw and bw not in succs[bv]:
-                succs[bv].add(bw)
-                indeg[bw] += 1
-
-    heap = [(sccs[b][0], b) for b in range(k) if indeg[b] == 0]
-    heapq.heapify(heap)
-    ordered: list[int] = []
-    while heap:
-        _, b = heapq.heappop(heap)
-        ordered.append(b)
-        for nb in succs[b]:
-            indeg[nb] -= 1
-            if indeg[nb] == 0:
-                heapq.heappush(heap, (sccs[nb][0], nb))
-
-    blocks = tuple(tuple(sccs[b]) for b in ordered)
-    kinds = []
-    for blk in blocks:
-        if len(blk) == 1 and m.entries[blk[0], blk[0]] == 0:
-            kinds.append(ZERO)
-        else:
-            kinds.append(IRREDUCIBLE)
-    order = tuple(i for blk in blocks for i in blk)
-    return Decomposition(order=order, blocks=blocks, kinds=tuple(kinds))
+    blocks = tuple(tuple(comp) for comp in _tarjan_sccs(_support_adjacency(m.entries)))
+    kinds = tuple(
+        ZERO if len(blk) == 1 and m.entries[blk[0], blk[0]] == 0 else IRREDUCIBLE
+        for blk in blocks
+    )
+    return Decomposition(blocks=blocks, kinds=kinds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +206,6 @@ def _eig_vector(block: np.ndarray) -> np.ndarray:
 def perron(
     block,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_POWER_ITERATIONS,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Perron:
     """Spectral radius and Perron vectors of an irreducible block, to relative ``tol``.
@@ -276,7 +242,7 @@ def perron(
         v = u = np.full(n, 1.0 / n)
     # The all-ones vector bounds the radius by the largest row and column sums.
     bound = min(float(b.sum(axis=1).max()), float(b.sum(axis=0).max()))
-    for step in range(max_iter):
+    for step in range(MAX_POWER_ITERATIONS):
         y, z = b @ v, bt @ u
         rv, ru = y / v, z / u
         lo, hi = float(max(rv.min(), ru.min())), float(min(rv.max(), ru.max(), bound))
@@ -293,12 +259,12 @@ def perron(
         else:
             v, u = _positive(y), _positive(z)
     raise ConvergenceError(
-        f"Perron iteration did not reach relative tol={tol} within {max_iter} steps "
+        f"Perron iteration did not reach relative tol={tol} within {MAX_POWER_ITERATIONS} steps "
         f"(bracket [{scale * lo}, {scale * hi}])"
     )
 
 
-def spectral_radius(a, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATIONS) -> float:
+def spectral_radius(a, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius of a non-negative matrix, to relative tolerance ``tol``.
 
     The matrix is decomposed into irreducible blocks; the radius is the
@@ -309,4 +275,4 @@ def spectral_radius(a, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERA
         raise ValueError("tol must be positive")
     m = _as_matrix(a)
     blocks = decompose(m).blocks
-    return max(perron(m.entries[np.ix_(b, b)], tol, max_iter).lam for b in blocks)
+    return max(perron(m.entries[np.ix_(b, b)], tol).lam for b in blocks)

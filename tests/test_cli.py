@@ -222,6 +222,14 @@ class TestModulus:
     def test_bad_q_exits_2(self, ring_cover_file, capsys):
         assert run(["modulus", "--input", ring_cover_file, "--q", "0.5"]) == 2
 
+    def test_large_q_is_not_reported_as_bad_input(self, tmp_path, capsys):
+        """At Q = 1100 the row lengths underflow inside the solve; Q is valid input."""
+        path = write_json(
+            tmp_path / "cycle.json",
+            {"schema_version": 1, "pieces": 5, "curves": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]},
+        )
+        assert run(["modulus", "--input", path, "--q", "1100"]) in (0, 4)
+
     def test_bad_grid_exits_2(self, ring_cover_file, capsys):
         assert run(["modulus", "--input", ring_cover_file, "--q-grid", "2:3"]) == 2
 
@@ -334,8 +342,8 @@ class TestVerify:
 
         real = cli_module.verify_covering_scaling
 
-        def doctored(annulus, d, q, tol=1e-6, modulus_tol=1e-8):
-            report = real(annulus, d, q, tol=tol, modulus_tol=modulus_tol)
+        def doctored(annulus, d, q, tol=1e-6):
+            report = real(annulus, d, q, tol=tol)
             return type(report)(
                 ok=False,
                 degree=report.degree,

@@ -96,9 +96,6 @@ class TestLengthAndVolume:
     def test_volume_fractional_exponent(self):
         assert rho_volume(np.array([1.0, 1.0, 0.0, 0.0]), 1.5) == pytest.approx(2.0)
 
-    def test_volume_on_subset(self):
-        assert rho_volume(np.array([1.0, 2.0, 3.0]), 2.0, piece_set=[1, 2]) == pytest.approx(13.0)
-
     def test_volume_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             rho_volume(np.ones(3), 0.5)
@@ -246,6 +243,15 @@ class TestBeurling:
         cert = beurling_check(cover, family.curves, rho, 2.0)
         assert not cert.ok
         assert cert.kkt_residual > 1e-8
+
+    def test_certificate_is_scale_free_at_large_q(self):
+        """Wrong weights whose target Q rho^(Q-1) is tiny: the residual (7e-21)
+        is far below the default 1e-8, but the volume is 6e7 times optimal."""
+        cover = Cover(piece_count=3)
+        family = explicit_family([CombCurve([0, 1]), CombCurve([1, 2])])
+        rho = np.array([0.6, 0.4, 0.6])
+        assert rho_volume(rho, 100.0) > 1e7 * modulus(cover, family, 100.0).value
+        assert not beurling_check(cover, family.curves, rho, 100.0).ok
 
     def test_solver_optimizers_always_certify(self):
         rng = np.random.default_rng(71)

@@ -211,9 +211,8 @@ def assert_valid_decomposition(a, dec):
     dim = a.shape[0]
     flat = [i for blk in dec.blocks for i in blk]
     assert sorted(flat) == list(range(dim))
-    assert list(dec.order) == flat
 
-    p = a[np.ix_(dec.order, dec.order)]
+    p = a[np.ix_(flat, flat)]
     pos = 0
     for blk in dec.blocks:
         k = len(blk)
