@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -45,6 +46,9 @@ EXIT_OBSTRUCTED = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_CHECK_FAILED = 5
 
+#: most exponents an ``--q-grid`` may list; a longer grid exits 2 before any solve
+MAX_GRID_POINTS = 10_000
+
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -64,8 +68,12 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
+    if (stop - start) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"exponent grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:

@@ -14,11 +14,15 @@ where the leading eigenvalue crosses 1, when the spec contains an irreducible
 piece and no Levy cycle blocks the decay.
 
 A Levy cycle is a cycle of degree-1 components; one decomposition of the
-degree-1 count matrix finds whether one exists.  For the exponent, the
-support of the transition matrix, which does not depend on Q, is
-decomposed once per spec; each evaluation then fills only the irreducible
-blocks and their Q-derivatives, and Newton's method on log lambda(Q)
-reaches the root in a handful of evaluations.
+degree-1 digraph finds whether one exists.  For the exponent, the support
+of the transition matrix, which does not depend on Q, is decomposed once
+per spec; each evaluation then fills only the irreducible blocks and their
+Q-derivatives, and Newton's method on log lambda(Q) reaches the root in a
+handful of evaluations.  Both decompositions read their adjacency lists
+straight from one table of the essential components, and blocks above
+``DENSE_EIG_MAX`` curves stay sparse from that table to their eigenvalue,
+so memory grows with the number of components, not with the square of the
+number of curves.
 """
 
 from __future__ import annotations
@@ -28,11 +32,14 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from confdim.spectral import (
+# ``decompose`` is not called here, but perfbench/tracing.py wraps it by this name.
+from confdim.spectral import (  # noqa: F401
+    DENSE_EIG_MAX,
     IRREDUCIBLE,
     ConvergenceError,
     NonNegMatrix,
     decompose,
+    decompose_digraph,
     perron,
     spectral_radius,
 )
@@ -215,17 +222,20 @@ def leading_eigenvalue(spec: MulticurveSpec, q: float, tol: float = 1e-10) -> fl
     return spectral_radius(transition_matrix(spec, q), tol)
 
 
-def _degree_one_counts(spec: MulticurveSpec) -> np.ndarray:
-    """Entry (i, j) counts the degree-1 components of curve j homotopic to curve i.
+def _adjacency(size: int, target: np.ndarray, source: np.ndarray) -> list[list[int]]:
+    """Edges j -> i, one per curve i that some component of curve j's preimage
+    is homotopic to: per source, the distinct targets in ascending order.
 
-    This is the limit of the transition matrix as Q goes to infinity.
+    These are the adjacency lists ``decompose`` reads off the dense matrix
+    (the reversed support digraph in ``spectral``'s terms), built without it.
     """
-    target, source, degree = _component_table(spec)
-    ones = degree == 1.0
-    return _matrix(spec.size, target[ones], source[ones], np.ones(int(ones.sum())))
+    keys = np.unique(source * size + target)
+    bounds = np.searchsorted(keys, np.arange(size + 1) * size).tolist()
+    targets = (keys % size).tolist()
+    return [targets[bounds[j] : bounds[j + 1]] for j in range(size)]
 
 
-def _witness_cycle(counts: np.ndarray, block: tuple[int, ...]) -> tuple[int, ...]:
+def _witness_cycle(adj: list[list[int]], block: tuple[int, ...]) -> tuple[int, ...]:
     """A shortest degree-1 cycle through the smallest curve of an irreducible block.
 
     Breadth-first search from that curve along edges j -> i (curve j has a
@@ -239,7 +249,7 @@ def _witness_cycle(counts: np.ndarray, block: tuple[int, ...]) -> tuple[int, ...
     while frontier:
         following = []
         for j in frontier:
-            for i in np.nonzero(counts[:, j])[0].tolist():
+            for i in adj[j]:
                 if i == start:
                     path = [j]
                     while path[-1] != start:
@@ -264,10 +274,12 @@ def detect_levy_cycles(spec: MulticurveSpec) -> list[tuple[int, ...]]:
     wrapping around; it starts at the smallest curve of its block.  The
     list is sorted, and empty exactly when the spec has no Levy cycle.
     """
-    counts = _degree_one_counts(spec)
-    dec = decompose(counts)
+    target, source, degree = _component_table(spec)
+    ones = degree == 1.0
+    adj = _adjacency(spec.size, target[ones], source[ones])
+    dec = decompose_digraph(adj)
     return sorted(
-        _witness_cycle(counts, blk)
+        _witness_cycle(adj, blk)
         for blk, kind in zip(dec.blocks, dec.kinds)
         if kind == IRREDUCIBLE
     )
@@ -276,34 +288,44 @@ def detect_levy_cycles(spec: MulticurveSpec) -> list[tuple[int, ...]]:
 class _Block:
     """One irreducible block of the support, laid out once per spec.
 
-    ``flat`` places each essential component inside the block's n x n
-    array; ``start`` holds the Perron vectors of the last evaluation, from
+    ``slot`` places each essential component in the block's dense n x n
+    array, or, above ``DENSE_EIG_MAX`` rows, among the stored entries of a
+    sparse CSC matrix (``indices``, ``indptr``), so a large block is never
+    dense.  ``start`` holds the Perron vectors of the last evaluation, from
     which the next one starts on blocks too large for a dense ``eig``.
     """
 
-    def __init__(self, size, flat, degree):
+    def __init__(self, size, row, col, degree):
         self.size = size
-        self.flat = flat
         self.degree = degree
         self.log_degree = np.log(degree)
         self.start = None
+        if size <= DENSE_EIG_MAX:
+            self.slot = row * size + col
+        else:
+            keys, self.slot = np.unique(col * size + row, return_inverse=True)
+            self.indices = keys % size
+            self.indptr = np.searchsorted(keys, np.arange(size + 1) * size)
 
-    def fill(self, weights) -> np.ndarray:
+    def fill(self, weights):
         n = self.size
-        return np.bincount(self.flat, weights, n * n).reshape(n, n)
+        if n <= DENSE_EIG_MAX:
+            return np.bincount(self.slot, weights, n * n).reshape(n, n)
+        from scipy.sparse import csc_matrix
+
+        data = np.bincount(self.slot, weights, len(self.indices))
+        return csc_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
-def _support_blocks(spec: MulticurveSpec) -> list[_Block]:
-    """The irreducible blocks of the transition matrix's support.
+def _irreducible_blocks(size: int, target, source, degree) -> list[_Block]:
+    """The irreducible blocks of the support of the components ``(target, source)``.
 
-    The support does not depend on Q, and the spectrum of the block
-    upper-triangular matrix is the union of its diagonal blocks' spectra,
-    so the components between blocks are dropped.
+    The spectrum of a block upper-triangular matrix is the union of its
+    diagonal blocks' spectra, so the components between blocks are dropped.
     """
-    target, source, degree = _component_table(spec)
-    dec = decompose(_matrix(spec.size, target, source, np.ones(len(degree))))
-    block_of = np.empty(spec.size, dtype=int)
-    position = np.empty(spec.size, dtype=int)
+    dec = decompose_digraph(_adjacency(size, target, source))
+    block_of = np.empty(size, dtype=int)
+    position = np.empty(size, dtype=int)
     for b, blk in enumerate(dec.blocks):
         block_of[list(blk)] = b
         position[list(blk)] = np.arange(len(blk))
@@ -312,8 +334,9 @@ def _support_blocks(spec: MulticurveSpec) -> list[_Block]:
         if kind != IRREDUCIBLE:
             continue
         inside = (block_of[target] == b) & (block_of[source] == b)
-        flat = position[target[inside]] * len(blk) + position[source[inside]]
-        blocks.append(_Block(len(blk), flat, degree[inside]))
+        blocks.append(
+            _Block(len(blk), position[target[inside]], position[source[inside]], degree[inside])
+        )
     return blocks
 
 
@@ -351,10 +374,13 @@ def q_of_multicurve(spec: MulticurveSpec, tol: float = 1e-10) -> QResult:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if detect_levy_cycles(spec):
-        lam = spectral_radius(_degree_one_counts(spec))
+    target, source, degree = _component_table(spec)
+    ones = degree == 1.0
+    levy = _irreducible_blocks(spec.size, target[ones], source[ones], degree[ones])
+    if levy:
+        lam = max(perron(blk.fill(blk.degree)).lam for blk in levy)
         return QResult(kind=LEVY_OBSTRUCTED, q=None, achieved_lambda=lam, iterations=1)
-    blocks = _support_blocks(spec)
+    blocks = _irreducible_blocks(spec.size, target, source, degree)
     if not blocks:
         return QResult(kind=ZERO, q=0.0, achieved_lambda=0.0, iterations=0)
 

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
 
@@ -67,13 +67,17 @@ def _as_int(value, path: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _parse_component(value, path: str, curve_names: Sequence[str]) -> PreimageComponent:
+def _parse_component(value, path: str, curve_names: AbstractSet[str]) -> PreimageComponent:
     obj = _as_object(value, path, {"degree", "class"})
     if "degree" not in obj:
         raise SchemaError(f"{path}.degree", "missing required field")
     if "class" not in obj:
         raise SchemaError(f"{path}.class", "missing required field")
     degree = _as_int(obj["degree"], f"{path}.degree", minimum=1)
+    try:
+        float(degree)
+    except OverflowError:
+        raise SchemaError(f"{path}.degree", "too large to convert to a float") from None
     cls = obj["class"]
     if isinstance(cls, str):
         if cls not in (PERIPHERAL, INESSENTIAL):
@@ -104,26 +108,28 @@ def parse_multicurve(data, where: str = "$") -> MulticurveSpec:
     if not isinstance(curves_raw, list) or not curves_raw:
         raise SchemaError(f"{where}.curves", "expected a non-empty list of curve names")
     names = []
+    seen = set()
     for i, name in enumerate(curves_raw):
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{where}.curves[{i}]", f"expected a non-empty string, got {name!r}")
-        if name in names:
+        if name in seen:
             raise SchemaError(f"{where}.curves[{i}]", f"duplicate curve name {name!r}")
         names.append(name)
+        seen.add(name)
 
     map_degree = None
     if "map_degree" in obj and obj["map_degree"] is not None:
         map_degree = _as_int(obj["map_degree"], f"{where}.map_degree", minimum=1)
 
     preimages_raw = obj.get("preimages", {})
-    preimages_obj = _as_object(preimages_raw, f"{where}.preimages", set(names))
+    preimages_obj = _as_object(preimages_raw, f"{where}.preimages", seen)
     preimages = {}
     for name, components in preimages_obj.items():
         comp_path = f"{where}.preimages.{name}"
         if not isinstance(components, list):
             raise SchemaError(comp_path, "expected a list of components")
         preimages[name] = tuple(
-            _parse_component(comp, f"{comp_path}[{i}]", names)
+            _parse_component(comp, f"{comp_path}[{i}]", seen)
             for i, comp in enumerate(components)
         )
 

@@ -11,6 +11,8 @@ The algorithmic choices are elementary and every number is certified:
   digraph in one pass of Tarjan's algorithm over the reversed digraph, whose
   emission order puts the permuted matrix in block upper-triangular form.
   Each diagonal block is either irreducible or a 1x1 zero block.
+  ``decompose_digraph`` does the same from adjacency lists, so a caller
+  holding a sparse support never forms the dense matrix.
 * ``perron`` is the one routine for the spectrum of an irreducible block.
   It starts from the Perron vectors of a dense ``eig`` on small blocks, or
   from vectors the caller supplies on large ones, and iterates with plain
@@ -18,6 +20,13 @@ The algorithmic choices are elementary and every number is certified:
   shift sits just above the current upper bound, until the Collatz-Wielandt
   bracket of the right and left vectors is narrower than a relative
   tolerance.  It returns the radius, its bracket and both vectors.
+* Blocks of more than ``DENSE_EIG_MAX`` rows take the large-block path:
+  the block is held as a scipy sparse matrix, dense or sparse on input,
+  and each inverse step factors the shifted block once with
+  ``scipy.sparse.linalg.splu``, then solves for the right vector and, with
+  the transposed factor, for the left one (Noda, Numer. Math. 1971).  The
+  cost of a step is set by the fill of the factor, not by the cube of the
+  block size.  scipy is imported only on this path.
 * ``spectral_radius`` applies ``perron`` to every diagonal block of the
   decomposition and takes the largest block radius.
 """
@@ -162,10 +171,19 @@ def decompose(a) -> Decomposition:
     original; so edges go from earlier blocks to later ones, and the permuted
     matrix is block upper-triangular.
     """
-    m = _as_matrix(a)
-    blocks = tuple(tuple(comp) for comp in _tarjan_sccs(_support_adjacency(m.entries)))
+    return decompose_digraph(_support_adjacency(_as_matrix(a).entries))
+
+
+def decompose_digraph(adj: list[list[int]]) -> Decomposition:
+    """``decompose`` of the matrix whose reversed support digraph is ``adj``.
+
+    ``adj[j]`` lists, in ascending order and without repeats, the rows ``i``
+    with ``A[i, j] > 0``; on those lists the blocks come out exactly as
+    ``decompose`` gives them for the dense matrix.
+    """
+    blocks = tuple(tuple(comp) for comp in _tarjan_sccs(adj))
     kinds = tuple(
-        ZERO if len(blk) == 1 and m.entries[blk[0], blk[0]] == 0 else IRREDUCIBLE
+        ZERO if len(blk) == 1 and blk[0] not in adj[blk[0]] else IRREDUCIBLE
         for blk in blocks
     )
     return Decomposition(blocks=blocks, kinds=kinds)
@@ -189,10 +207,13 @@ class Perron:
     u: np.ndarray
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _positive(v: np.ndarray) -> np.ndarray:
     """``|v|`` with unit sum, entries that roundoff leaves at zero raised to
     the smallest normal float so every Collatz-Wielandt ratio is finite."""
-    v = np.maximum(np.abs(v), np.finfo(float).tiny)
+    v = np.maximum(np.abs(v), _TINY)
     return v / v.sum()
 
 
@@ -210,20 +231,23 @@ def perron(
 ) -> Perron:
     """Spectral radius and Perron vectors of an irreducible block, to relative ``tol``.
 
-    The block ``B`` is scaled to unit maximum entry, so ``tol`` means the same
-    at every magnitude.  The vectors start from a dense ``eig`` on blocks of
-    at most ``DENSE_EIG_MAX`` rows, else from ``start`` (say the vectors of
-    the same block at a nearby exponent) or the uniform vector.  Each step
-    returns once the Collatz-Wielandt bracket of ``B v`` and ``B^T u`` is
-    narrower than ``tol`` times its upper end.  Otherwise the next vectors
-    are ``B v`` and ``B^T u``, except every ``INVERSE_EVERY``-th step, an
-    inverse-iteration step with a shift above the upper bound.  The inverse
-    steps converge however close another eigenvalue comes to the radius
-    (periodic blocks, weakly coupled sub-blocks of equal radius); the plain
-    steps, non-negative sums without cancellation, restore the relative
-    accuracy of tiny components that a linear solve loses.
+    The block ``B``, dense or a scipy sparse matrix, is scaled to unit
+    maximum entry, so ``tol`` means the same at every magnitude.  The vectors
+    start from a dense ``eig`` on blocks of at most ``DENSE_EIG_MAX`` rows,
+    else from ``start`` (say the vectors of the same block at a nearby
+    exponent) or the uniform vector.  Each step returns once the
+    Collatz-Wielandt bracket of ``B v`` and ``B^T u`` is narrower than
+    ``tol`` times its upper end.  Otherwise the next vectors are ``B v`` and
+    ``B^T u``, except every ``INVERSE_EVERY``-th step, an inverse-iteration
+    step with a shift above the upper bound.  The inverse steps converge
+    however close another eigenvalue comes to the radius (periodic blocks,
+    weakly coupled sub-blocks of equal radius); the plain steps, non-negative
+    sums without cancellation, restore the relative accuracy of tiny
+    components that a linear solve loses.  Larger blocks run the same steps
+    on a sparse copy, with one sparse LU per inverse step.
     """
-    block = np.asarray(block, dtype=float)
+    if not hasattr(block, "tocsc"):
+        block = np.asarray(block, dtype=float)
     n = block.shape[0]
     if n == 1:
         lam = float(block[0, 0])
@@ -232,18 +256,57 @@ def perron(
     if scale == 0.0:  # every entry underflowed: the zero matrix, radius exactly 0
         flat = np.full(n, 1.0 / n)
         return Perron(0.0, 0.0, 0.0, flat, flat)
-    b = block / scale
-    bt = b.T
-    if n <= DENSE_EIG_MAX:
-        v, u = _eig_vector(b), _eig_vector(bt)
-    elif start is not None:
-        v, u = start
-    else:
-        v = u = np.full(n, 1.0 / n)
     # The all-ones vector bounds the radius by the largest row and column sums.
-    bound = min(float(b.sum(axis=1).max()), float(b.sum(axis=0).max()))
+    if n <= DENSE_EIG_MAX:
+        b = (block.toarray() if hasattr(block, "toarray") else block) / scale
+        bt = b.T
+        v, u = _eig_vector(b), _eig_vector(bt)
+        bound = min(float(b.sum(axis=1).max()), float(b.sum(axis=0).max()))
+
+        def products(v, u):
+            return b @ v, bt @ u
+
+        def inverse(lo, hi, v, u):
+            shifted = (2.0 * hi - lo) * np.eye(n) - b
+            return np.linalg.solve(shifted, v), np.linalg.solve(shifted.T, u)
+
+    else:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        # Entries in column-major order, so the sums below add in the order
+        # of scipy's own sparse products.
+        entries = csc_matrix(block, dtype=float).tocoo()
+        rows, cols, data = entries.row, entries.col, entries.data / scale
+        v, u = start if start is not None else (np.full(n, 1.0 / n),) * 2
+        bound = min(float(np.bincount(rows, data, n).max()), float(np.bincount(cols, data, n).max()))
+
+        def products(v, u):
+            return np.bincount(rows, data * v[cols], n), np.bincount(cols, data * u[rows], n)
+
+        # -B with every diagonal entry stored, so a shift rewrites only those.
+        diagonal = np.arange(n)
+        shifted = csc_matrix(
+            (
+                np.concatenate([-data, np.zeros(n)]),
+                (np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal])),
+            ),
+            shape=(n, n),
+        )
+        negated = shifted.data.copy()
+        on_diagonal = shifted.indices == np.repeat(diagonal, np.diff(shifted.indptr))
+
+        def inverse(lo, hi, v, u):
+            # Noda's shift is the upper bound itself; a thousandth of the
+            # bracket above it keeps the shifted block nonsingular.  On a
+            # long cycle the shift 2 hi - lo took ten times the steps.
+            shifted.data[:] = negated
+            shifted.data[on_diagonal] += hi + (hi - lo) / 1024.0
+            lu = splu(shifted)
+            return lu.solve(v), lu.solve(u, trans="T")
+
     for step in range(MAX_POWER_ITERATIONS):
-        y, z = b @ v, bt @ u
+        y, z = products(v, u)
         rv, ru = y / v, z / u
         lo, hi = float(max(rv.min(), ru.min())), float(min(rv.max(), ru.max(), bound))
         if hi - lo <= tol * hi:
@@ -254,8 +317,7 @@ def perron(
         if step % INVERSE_EVERY == 0:
             # (s I - B)^-1 is positive for s > rho, and its leading eigenvalue
             # 1 / (s - rho) dominates by a ratio that shrinks with the bracket.
-            shifted = (2.0 * hi - lo) * np.eye(n) - b
-            v, u = _positive(np.linalg.solve(shifted, v)), _positive(np.linalg.solve(shifted.T, u))
+            v, u = (_positive(w) for w in inverse(lo, hi, v, u))
         else:
             v, u = _positive(y), _positive(z)
     raise ConvergenceError(

@@ -224,3 +224,51 @@ def eig_radius(spec, q: float) -> float:
 def crosses_one(spec, q: float, window: float) -> bool:
     """Whether the eigvals radius is above 1 at ``q - window`` and below at ``q + window``."""
     return eig_radius(spec, q - window) > 1.0 > eig_radius(spec, q + window)
+
+
+def functional_graph_q(target, degrees) -> float:
+    """Critical exponent of a functional-graph multicurve by bisection.
+
+    Curve ``j`` has components of degrees ``degrees[j]``, all homotopic to
+    curve ``target[j]`` (an empty list means no essential component).  Each
+    irreducible block is then a cycle ``c_1 -> ... -> c_L``, a weighted
+    cyclic permutation, whose radius is ``(prod_i s_i(Q))^(1/L)`` with
+    ``s_i(Q) = sum_d d^(1-Q)`` over the degrees of ``c_i``.  So a cycle
+    crosses 1 where ``sum_i log s_i(Q) = 0``, a decreasing function of ``Q``
+    once every degree is at least 2, and ``Q(Gamma)`` is the largest such
+    root over the cycles.  Degrees must be at least 2 and some cycle must
+    exist.
+    """
+    n = len(target)
+    state = [0] * n  # 0 unvisited, 1 on the current walk, 2 done
+    cycles = []
+    for root in range(n):
+        walk = []
+        j = root
+        while j is not None and state[j] == 0:
+            state[j] = 1
+            walk.append(j)
+            j = target[j] if degrees[j] else None
+        if j is not None and state[j] == 1:
+            cycles.append(walk[walk.index(j):])
+        for k in walk:
+            state[k] = 2
+    assert cycles, "the functional graph has no cycle"
+    assert all(d >= 2 for ds in degrees for d in ds), "degrees must be at least 2"
+
+    def log_product(cycle, q):
+        return math.fsum(math.log(math.fsum(d ** (1.0 - q) for d in degrees[c])) for c in cycle)
+
+    roots = []
+    for cycle in cycles:
+        lo, hi = 1.0, 2.0
+        while log_product(cycle, hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-14 * hi:
+            mid = 0.5 * (lo + hi)
+            if log_product(cycle, mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return max(roots)

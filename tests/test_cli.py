@@ -125,6 +125,20 @@ class TestQGamma:
         bad.write_text("{", encoding="utf-8")
         assert run(["q-gamma", "--input", str(bad)]) == 2
 
+    def test_degree_past_float_range_exits_2(self, tmp_path, capsys):
+        """10^400 used to raise an uncaught OverflowError in the solve."""
+        path = write_json(
+            tmp_path / "huge_degree.json",
+            {
+                "schema_version": 1,
+                "curves": ["a"],
+                "preimages": {"a": [{"degree": 10**400, "class": {"essential": "a"}}]},
+            },
+        )
+        assert run(["q-gamma", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and "$.preimages.a[0].degree" in err
+
 
 class TestQMap:
     def test_catalog_lower_bound(self, tmp_path, lattes_file, capsys):
@@ -232,6 +246,19 @@ class TestModulus:
 
     def test_bad_grid_exits_2(self, ring_cover_file, capsys):
         assert run(["modulus", "--input", ring_cover_file, "--q-grid", "2:3"]) == 2
+
+    @pytest.mark.parametrize("grid", ["1:1e9:1e-6", "1:inf:1", "nan:2:1"])
+    def test_grid_over_point_cap_exits_2_before_any_solve(
+        self, ring_cover_file, grid, capsys, monkeypatch
+    ):
+        """1:1e9:1e-6 used to build 10^15 floats before the first solve."""
+        calls = []
+        monkeypatch.setattr("confdim.cli.modulus", lambda *a, **k: calls.append(a))
+        started = time.perf_counter()
+        assert run(["modulus", "--input", ring_cover_file, "--q-grid", grid]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert calls == []
+        assert "grid" in capsys.readouterr().err
 
     def test_q_and_grid_mutually_exclusive(self, ring_cover_file):
         with pytest.raises(SystemExit):

@@ -37,6 +37,8 @@ CASES = {
     ),
     "reducible_q_gamma": (["q-gamma", "--input", "reducible.json"], 0),
     "reducible_q_gamma_csv": (["q-gamma", "--input", "reducible.json", "--format", "csv"], 0),
+    # two irreducible blocks of 180 and 60 curves, above the dense-eig size
+    "sparse_240_q_gamma": (["q-gamma", "--input", "sparse_240.json"], 0),
     "catalog_q_map": (["q-map", "--input", "catalog.json"], 3),
     "catalog_q_map_csv": (["q-map", "--input", "catalog.json", "--format", "csv"], 3),
     "growth_check": (["verify", "growth-check"], 0),

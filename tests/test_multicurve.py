@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -497,3 +498,97 @@ class TestLevyAgainstCycleEnumeration:
         witnesses = detect_levy_cycles(spec)
         assert time.perf_counter() - started < 0.1
         assert witnesses == [(0, 1)]
+
+
+def functional_graph_spec(target, degrees):
+    """Curve j's components, of degrees ``degrees[j]``, all go to curve ``target[j]``."""
+    labels = [f"c{i}" for i in range(len(target))]
+    return MulticurveSpec(
+        curves=labels,
+        preimages={
+            labels[j]: tuple(essential(int(d), labels[int(t)]) for d in ds)
+            for j, (t, ds) in enumerate(zip(target, degrees))
+        },
+    )
+
+
+def random_degrees(rng, n):
+    return [rng.integers(2, 6, size=int(rng.integers(1, 4))).tolist() for _ in range(n)]
+
+
+class TestSparseBlocks:
+    """Blocks above ``DENSE_EIG_MAX`` curves, which stay sparse from the
+    component table to the eigenvalue."""
+
+    @pytest.mark.parametrize("n", [1000, 3000, 10000])
+    def test_one_cycle_through_every_curve(self, n):
+        """A single periodic block of n curves."""
+        rng = np.random.default_rng(n)
+        order = rng.permutation(n)
+        target = np.empty(n, dtype=int)
+        target[order] = np.roll(order, -1)
+        degrees = random_degrees(rng, n)
+        res = q_of_multicurve(functional_graph_spec(target, degrees))
+        assert res.kind == "finite"
+        assert res.q == pytest.approx(oracles.functional_graph_q(target, degrees), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_random_functional_graph(self, n):
+        """A random map of the curves: cycles of many lengths, trees into them."""
+        rng = np.random.default_rng(n + 1)
+        target = rng.integers(0, n, size=n)
+        degrees = random_degrees(rng, n)
+        res = q_of_multicurve(functional_graph_spec(target, degrees))
+        assert res.kind == "finite"
+        assert res.q == pytest.approx(oracles.functional_graph_q(target, degrees), abs=1e-10)
+
+    def test_two_components_per_curve_around_a_cycle(self):
+        """Equal structure at every curve: each curve has two components of
+        degree 2 or 3 onto the next."""
+        rng = np.random.default_rng(5)
+        n = 3000
+        target = (np.arange(n) + 1) % n
+        degrees = rng.integers(2, 4, size=(n, 2)).tolist()
+        res = q_of_multicurve(functional_graph_spec(target, degrees))
+        assert res.q == pytest.approx(oracles.functional_graph_q(target, degrees), abs=1e-10)
+
+    def test_20000_curve_cycle_stays_sparse(self):
+        """A dense 20000 x 20000 array alone would take 3.2 GB."""
+        rng = np.random.default_rng(20000)
+        n = 20000
+        target = (np.arange(n) + 1) % n
+        degrees = rng.integers(2, 4, size=(n, 2)).tolist()
+        spec = functional_graph_spec(target, degrees)
+        tracemalloc.start()
+        try:
+            res = q_of_multicurve(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.kind == "finite"
+        assert peak < 100e6
+        assert res.q == pytest.approx(oracles.functional_graph_q(target, degrees), abs=1e-10)
+
+    def test_large_levy_block_reports_degree_one_radius(self):
+        """The degree-1 counts of a 60-curve Levy block, read sparse, against
+        the dense radius of the same count matrix."""
+        rng = np.random.default_rng(83)
+        n = 60
+        labels = [f"c{i}" for i in range(n)]
+        preimages = {}
+        for j in range(n):
+            comps = [essential(1, labels[(j + 1) % n])]
+            comps += [essential(1, labels[int(i)]) for i in rng.integers(0, n, size=2)]
+            comps += [essential(3, labels[int(rng.integers(0, n))])]
+            preimages[labels[j]] = tuple(comps)
+        spec = MulticurveSpec(curves=labels, preimages=preimages)
+        counts = np.zeros((n, n))
+        for j, comps in enumerate(spec.preimages):
+            for comp in comps:
+                if comp.degree == 1:
+                    counts[spec.index_of(comp.classification.curve), j] += 1.0
+        res = q_of_multicurve(spec)
+        assert res.kind == "levy_obstructed"
+        assert res.achieved_lambda == pytest.approx(
+            float(np.max(np.abs(np.linalg.eigvals(counts)))), rel=1e-12
+        )
