@@ -72,7 +72,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    if (stop - start) / step >= MAX_GRID_POINTS:
+    # The loop below keeps every point up to stop + 1e-12, so count that slack too.
+    if (stop - start + 1e-12) / step >= MAX_GRID_POINTS:
         raise ValueError(f"exponent grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0

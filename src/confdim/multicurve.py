@@ -32,14 +32,12 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-# ``decompose`` is not called here, but perfbench/tracing.py wraps it by this name.
-from confdim.spectral import (  # noqa: F401
+from confdim.spectral import (
     DENSE_EIG_MAX,
     IRREDUCIBLE,
     ConvergenceError,
     NonNegMatrix,
     decompose,
-    decompose_digraph,
     perron,
     spectral_radius,
 )
@@ -262,7 +260,9 @@ def _witness_cycle(adj: list[list[int]], block: tuple[int, ...]) -> tuple[int, .
     raise AssertionError(f"block {block} of the degree-1 digraph has no cycle")
 
 
-def detect_levy_cycles(spec: MulticurveSpec) -> list[tuple[int, ...]]:
+def detect_levy_cycles(
+    spec: MulticurveSpec, table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> list[tuple[int, ...]]:
     """One witness Levy cycle per irreducible block of the degree-1 digraph.
 
     The degree-1 digraph has an edge j -> i when curve j has a degree-1
@@ -273,11 +273,12 @@ def detect_levy_cycles(spec: MulticurveSpec) -> list[tuple[int, ...]]:
     ...) where each curve has a degree-1 component homotopic to the next,
     wrapping around; it starts at the smallest curve of its block.  The
     list is sorted, and empty exactly when the spec has no Levy cycle.
+    ``table`` is the spec's ``_component_table``, if the caller holds it.
     """
-    target, source, degree = _component_table(spec)
+    target, source, degree = _component_table(spec) if table is None else table
     ones = degree == 1.0
     adj = _adjacency(spec.size, target[ones], source[ones])
-    dec = decompose_digraph(adj)
+    dec = decompose(adjacency=adj)
     return sorted(
         _witness_cycle(adj, blk)
         for blk, kind in zip(dec.blocks, dec.kinds)
@@ -323,7 +324,7 @@ def _irreducible_blocks(size: int, target, source, degree) -> list[_Block]:
     The spectrum of a block upper-triangular matrix is the union of its
     diagonal blocks' spectra, so the components between blocks are dropped.
     """
-    dec = decompose_digraph(_adjacency(size, target, source))
+    dec = decompose(adjacency=_adjacency(size, target, source))
     block_of = np.empty(size, dtype=int)
     position = np.empty(size, dtype=int)
     for b, blk in enumerate(dec.blocks):
@@ -374,10 +375,11 @@ def q_of_multicurve(spec: MulticurveSpec, tol: float = 1e-10) -> QResult:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    target, source, degree = _component_table(spec)
-    ones = degree == 1.0
-    levy = _irreducible_blocks(spec.size, target[ones], source[ones], degree[ones])
-    if levy:
+    table = _component_table(spec)
+    target, source, degree = table
+    if detect_levy_cycles(spec, table):
+        ones = degree == 1.0
+        levy = _irreducible_blocks(spec.size, target[ones], source[ones], degree[ones])
         lam = max(perron(blk.fill(blk.degree)).lam for blk in levy)
         return QResult(kind=LEVY_OBSTRUCTED, q=None, achieved_lambda=lam, iterations=1)
     blocks = _irreducible_blocks(spec.size, target, source, degree)

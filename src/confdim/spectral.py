@@ -10,9 +10,10 @@ The algorithmic choices are elementary and every number is certified:
 * ``decompose`` finds the strongly connected components of the support
   digraph in one pass of Tarjan's algorithm over the reversed digraph, whose
   emission order puts the permuted matrix in block upper-triangular form.
-  Each diagonal block is either irreducible or a 1x1 zero block.
-  ``decompose_digraph`` does the same from adjacency lists, so a caller
-  holding a sparse support never forms the dense matrix.
+  Each diagonal block is either irreducible or a 1x1 zero block.  Given
+  the reversed digraph's adjacency lists instead of the matrix, it does the
+  same without a dense array, so a caller holding a sparse support never
+  forms one.
 * ``perron`` is the one routine for the spectrum of an irreducible block.
   It starts from the Perron vectors of a dense ``eig`` on small blocks, or
   from vectors the caller supplies on large ones, and iterates with plain
@@ -161,8 +162,13 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def decompose(a) -> Decomposition:
+def decompose(a=None, *, adjacency: list[list[int]] | None = None) -> Decomposition:
     """Condense the support digraph into ordered diagonal blocks.
+
+    Pass the matrix ``a``, or instead ``adjacency``, the reversed support
+    digraph of a matrix ``A`` too large to hold dense: ``adjacency[j]``
+    lists, in ascending order and without repeats, the rows ``i`` with
+    ``A[i, j] > 0``.  Both give the same blocks.
 
     Blocks are listed in the order Tarjan's algorithm emits the strongly
     connected components of the reversed support digraph, from roots taken
@@ -171,19 +177,13 @@ def decompose(a) -> Decomposition:
     original; so edges go from earlier blocks to later ones, and the permuted
     matrix is block upper-triangular.
     """
-    return decompose_digraph(_support_adjacency(_as_matrix(a).entries))
-
-
-def decompose_digraph(adj: list[list[int]]) -> Decomposition:
-    """``decompose`` of the matrix whose reversed support digraph is ``adj``.
-
-    ``adj[j]`` lists, in ascending order and without repeats, the rows ``i``
-    with ``A[i, j] > 0``; on those lists the blocks come out exactly as
-    ``decompose`` gives them for the dense matrix.
-    """
-    blocks = tuple(tuple(comp) for comp in _tarjan_sccs(adj))
+    if (a is None) == (adjacency is None):
+        raise TypeError("pass exactly one of a matrix and adjacency")
+    if adjacency is None:
+        adjacency = _support_adjacency(_as_matrix(a).entries)
+    blocks = tuple(tuple(comp) for comp in _tarjan_sccs(adjacency))
     kinds = tuple(
-        ZERO if len(blk) == 1 and blk[0] not in adj[blk[0]] else IRREDUCIBLE
+        ZERO if len(blk) == 1 and blk[0] not in adjacency[blk[0]] else IRREDUCIBLE
         for blk in blocks
     )
     return Decomposition(blocks=blocks, kinds=kinds)
@@ -207,13 +207,10 @@ class Perron:
     u: np.ndarray
 
 
-_TINY = np.finfo(float).tiny
-
-
 def _positive(v: np.ndarray) -> np.ndarray:
     """``|v|`` with unit sum, entries that roundoff leaves at zero raised to
     the smallest normal float so every Collatz-Wielandt ratio is finite."""
-    v = np.maximum(np.abs(v), _TINY)
+    v = np.maximum(np.abs(v), np.finfo(float).tiny)
     return v / v.sum()
 
 
@@ -231,20 +228,21 @@ def perron(
 ) -> Perron:
     """Spectral radius and Perron vectors of an irreducible block, to relative ``tol``.
 
-    The block ``B``, dense or a scipy sparse matrix, is scaled to unit
-    maximum entry, so ``tol`` means the same at every magnitude.  The vectors
-    start from a dense ``eig`` on blocks of at most ``DENSE_EIG_MAX`` rows,
-    else from ``start`` (say the vectors of the same block at a nearby
-    exponent) or the uniform vector.  Each step returns once the
-    Collatz-Wielandt bracket of ``B v`` and ``B^T u`` is narrower than
-    ``tol`` times its upper end.  Otherwise the next vectors are ``B v`` and
-    ``B^T u``, except every ``INVERSE_EVERY``-th step, an inverse-iteration
-    step with a shift above the upper bound.  The inverse steps converge
-    however close another eigenvalue comes to the radius (periodic blocks,
-    weakly coupled sub-blocks of equal radius); the plain steps, non-negative
-    sums without cancellation, restore the relative accuracy of tiny
-    components that a linear solve loses.  Larger blocks run the same steps
-    on a sparse copy, with one sparse LU per inverse step.
+    The block ``B``, dense or, above ``DENSE_EIG_MAX`` rows, also a scipy
+    sparse matrix, is scaled to unit maximum entry, so ``tol`` means the
+    same at every magnitude.  The vectors start from a dense ``eig`` on
+    blocks of at most ``DENSE_EIG_MAX`` rows, else from ``start`` (say the
+    vectors of the same block at a nearby exponent) or the uniform vector.
+    Each step returns once the Collatz-Wielandt bracket of ``B v`` and
+    ``B^T u`` is narrower than ``tol`` times its upper end.  Otherwise the
+    next vectors are ``B v`` and ``B^T u``, except every
+    ``INVERSE_EVERY``-th step, an inverse-iteration step with a shift above
+    the upper bound.  The inverse steps converge however close another
+    eigenvalue comes to the radius (periodic blocks, weakly coupled
+    sub-blocks of equal radius); the plain steps, non-negative sums without
+    cancellation, restore the relative accuracy of tiny components that a
+    linear solve loses.  Larger blocks run the same steps on a sparse copy,
+    with one sparse LU per inverse step.
     """
     if not hasattr(block, "tocsc"):
         block = np.asarray(block, dtype=float)
@@ -256,57 +254,33 @@ def perron(
     if scale == 0.0:  # every entry underflowed: the zero matrix, radius exactly 0
         flat = np.full(n, 1.0 / n)
         return Perron(0.0, 0.0, 0.0, flat, flat)
-    # The all-ones vector bounds the radius by the largest row and column sums.
     if n <= DENSE_EIG_MAX:
-        b = (block.toarray() if hasattr(block, "toarray") else block) / scale
-        bt = b.T
-        v, u = _eig_vector(b), _eig_vector(bt)
-        bound = min(float(b.sum(axis=1).max()), float(b.sum(axis=0).max()))
-
-        def products(v, u):
-            return b @ v, bt @ u
+        b = block / scale
+        v, u = _eig_vector(b), _eig_vector(b.T)
 
         def inverse(lo, hi, v, u):
             shifted = (2.0 * hi - lo) * np.eye(n) - b
             return np.linalg.solve(shifted, v), np.linalg.solve(shifted.T, u)
 
     else:
-        from scipy.sparse import csc_matrix
+        from scipy.sparse import csc_matrix, identity
         from scipy.sparse.linalg import splu
 
-        # Entries in column-major order, so the sums below add in the order
-        # of scipy's own sparse products.
-        entries = csc_matrix(block, dtype=float).tocoo()
-        rows, cols, data = entries.row, entries.col, entries.data / scale
+        b = csc_matrix(block, dtype=float) / scale
         v, u = start if start is not None else (np.full(n, 1.0 / n),) * 2
-        bound = min(float(np.bincount(rows, data, n).max()), float(np.bincount(cols, data, n).max()))
-
-        def products(v, u):
-            return np.bincount(rows, data * v[cols], n), np.bincount(cols, data * u[rows], n)
-
-        # -B with every diagonal entry stored, so a shift rewrites only those.
-        diagonal = np.arange(n)
-        shifted = csc_matrix(
-            (
-                np.concatenate([-data, np.zeros(n)]),
-                (np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal])),
-            ),
-            shape=(n, n),
-        )
-        negated = shifted.data.copy()
-        on_diagonal = shifted.indices == np.repeat(diagonal, np.diff(shifted.indptr))
 
         def inverse(lo, hi, v, u):
             # Noda's shift is the upper bound itself; a thousandth of the
             # bracket above it keeps the shifted block nonsingular.  On a
             # long cycle the shift 2 hi - lo took ten times the steps.
-            shifted.data[:] = negated
-            shifted.data[on_diagonal] += hi + (hi - lo) / 1024.0
-            lu = splu(shifted)
+            lu = splu(((hi + (hi - lo) / 1024.0) * identity(n) - b).tocsc())
             return lu.solve(v), lu.solve(u, trans="T")
 
+    bt = b.T
+    # The all-ones vector bounds the radius by the largest row and column sums.
+    bound = min(float(b.sum(axis=1).max()), float(b.sum(axis=0).max()))
     for step in range(MAX_POWER_ITERATIONS):
-        y, z = products(v, u)
+        y, z = b @ v, bt @ u
         rv, ru = y / v, z / u
         lo, hi = float(max(rv.min(), ru.min())), float(min(rv.max(), ru.max(), bound))
         if hi - lo <= tol * hi:

@@ -247,7 +247,7 @@ class TestModulus:
     def test_bad_grid_exits_2(self, ring_cover_file, capsys):
         assert run(["modulus", "--input", ring_cover_file, "--q-grid", "2:3"]) == 2
 
-    @pytest.mark.parametrize("grid", ["1:1e9:1e-6", "1:inf:1", "nan:2:1"])
+    @pytest.mark.parametrize("grid", ["1:1e9:1e-6", "1:1:1e-20", "1:inf:1", "nan:2:1"])
     def test_grid_over_point_cap_exits_2_before_any_solve(
         self, ring_cover_file, grid, capsys, monkeypatch
     ):

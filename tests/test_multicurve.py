@@ -569,6 +569,26 @@ class TestSparseBlocks:
         assert peak < 100e6
         assert res.q == pytest.approx(oracles.functional_graph_q(target, degrees), abs=1e-10)
 
+    def test_solve_calls_the_module_level_helpers(self, monkeypatch):
+        """perfbench's tracer counts these calls by wrapping the names
+        ``detect_levy_cycles`` and ``decompose`` in this module."""
+        import confdim.multicurve as multicurve
+
+        calls = []
+        for name in ("detect_levy_cycles", "decompose"):
+            original = getattr(multicurve, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(multicurve, name, counted)
+        q_of_multicurve(lattes_spec())
+        assert calls == ["detect_levy_cycles", "decompose", "decompose"]
+        calls.clear()
+        q_of_multicurve(single_curve(essential(1, "g1")))
+        assert calls == ["detect_levy_cycles", "decompose", "decompose"]
+
     def test_large_levy_block_reports_degree_one_radius(self):
         """The degree-1 counts of a 60-curve Levy block, read sparse, against
         the dense radius of the same count matrix."""

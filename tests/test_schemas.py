@@ -6,7 +6,6 @@ import json
 import time
 
 import numpy as np
-
 import pytest
 
 from confdim.modulus import modulus

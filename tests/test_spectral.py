@@ -255,6 +255,19 @@ class TestDecompose:
             a = random_nonneg(rng, dim, density=0.3)
             assert_valid_decomposition(a, decompose(a))
 
+    def test_adjacency_lists_give_the_matrix_blocks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            a = random_nonneg(rng, int(rng.integers(1, 10)), density=0.3)
+            adjacency = [np.nonzero(a[:, j])[0].tolist() for j in range(len(a))]
+            assert decompose(adjacency=adjacency) == decompose(a)
+
+    def test_needs_exactly_one_form(self):
+        with pytest.raises(TypeError):
+            decompose()
+        with pytest.raises(TypeError):
+            decompose([[1.0]], adjacency=[[0]])
+
 
 class TestPFEigenvector:
     """The Perron vectors of an irreducible block are its PF eigenvectors."""
